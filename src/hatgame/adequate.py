@@ -346,51 +346,114 @@ def optimal_sets(
 
 
 # ---------------------------------------------------------------------------
-# Global optimization: minimum-weight cover branch and bound
+# Minimum-weight cover branch and bound
 # ---------------------------------------------------------------------------
 
 
-def _weights(n: int, params: GameParams) -> list[Fraction]:
-    return [config_probability(c, params) for c in range(1 << n)]
+def _cover_search(
+    n: int,
+    params: GameParams,
+    size: int | None = None,
+    node_budget: int | None = None,
+) -> tuple[AdequateSet, Fraction] | None:
+    """Minimum-probability adequate set, over all sizes or of exactly
+    ``size`` elements (``None`` when no set of that size exists).
 
+    Branch and bound over radius-1 ball covers: branch on the elements
+    able to cover the lowest uncovered configuration, cheapest first, with
+    earlier branches banned in later ones so no cover is visited twice.
+    For p = a/b a configuration with z white bits weighs a^z (b-a)^(n-z),
+    its probability scaled by b^n, so the search runs on integers.
 
-def _greedy_cover(n: int, weights: Sequence[Fraction]) -> list[int]:
-    """Cheap feasible cover used as the initial incumbent: repeatedly take
-    the element with the best (new coverage / weight) ratio."""
+    Over all sizes, the search starts from a greedy cover and bounds with
+    the cheapest coverer of the lowest uncovered configuration; all weights
+    are positive, so the optimum is irredundant.  At a fixed size, each
+    finished cover is padded with the cheapest unchosen elements (the best
+    padding of that cover), and the bound adds a counting bound (each
+    element covers at most n+1 configurations) to the cheapest unchosen
+    elements.  The witness is the greedy cover if it ties the optimum,
+    else the first optimum in search order.  Exceeding ``node_budget``
+    raises :class:`ResourceLimitError`.
+    """
+    h = 1 << n
     full = _full_mask(n)
     balls = _balls(n)
-    covered = 0
-    chosen: list[int] = []
-    while covered != full:
-        best_e = -1
-        best_key = None
-        for e in range(1 << n):
-            gain = (balls[e] & ~covered).bit_count()
-            if gain == 0:
-                continue
-            key = (weights[e] / gain, weights[e], e)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_e = e
-        covered |= balls[best_e]
-        chosen.append(best_e)
-    return chosen
+    a, b = params.p_white.numerator, params.p_white.denominator
+    by_whites = [a**z * (b - a) ** (n - z) for z in range(n + 1)]
+    weights = [by_whites[count_whites(c, n)] for c in range(h)]
+    order = sorted(range(h), key=lambda e: (weights[e], e))
+    coverers = [[e for e in order if (balls[c] >> e) & 1] for c in range(h)]
+
+    best: int | None = None
+    best_set: tuple[int, ...] = ()
+    if size is None:
+        # greedy incumbent: repeatedly take the element of least weight per
+        # newly covered configuration (scaled by lcm(1..n+1) to stay integral)
+        scale = math.lcm(*range(1, n + 2))
+        covered = 0
+        while covered != full:
+            gains = [(balls[e] & ~covered).bit_count() for e in range(h)]
+            e = min(
+                (e for e in range(h) if gains[e]),
+                key=lambda e: (weights[e] * scale // gains[e], weights[e], e),
+            )
+            covered |= balls[e]
+            best_set += (e,)
+        best = sum(weights[e] for e in best_set)
+
+    def cheapest_unchosen(chosen: tuple[int, ...], count: int) -> list[int]:
+        return list(itertools.islice((e for e in order if e not in chosen), count))
+
+    nodes = 0
+
+    def rec(covered: int, chosen: tuple[int, ...], weight: int, banned: int):
+        nonlocal best, best_set, nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise ResourceLimitError(
+                "cover search exceeded the node budget (%d)" % node_budget
+            )
+        if covered == full:
+            if size is not None:
+                extras = cheapest_unchosen(chosen, size - len(chosen))
+                chosen += tuple(extras)
+                weight += sum(weights[e] for e in extras)
+            if best is None or weight < best:
+                best, best_set = weight, chosen
+            return
+        uncovered = full & ~covered
+        low = (uncovered & -uncovered).bit_length() - 1
+        if size is not None:
+            left = size - len(chosen)
+            if uncovered.bit_count() > left * (n + 1):
+                return
+        if best is not None:
+            if size is None:
+                bound = weights[coverers[low][0]]
+            else:
+                bound = sum(weights[e] for e in cheapest_unchosen(chosen, left))
+            if weight + bound >= best:
+                return
+        tried = 0
+        for e in coverers[low]:
+            # chosen elements never cover `low`, so only bans filter here
+            if not (banned >> e) & 1:
+                rec(covered | balls[e], chosen + (e,), weight + weights[e],
+                    banned | tried)
+                tried |= 1 << e
+
+    rec(0, (), 0, 0)
+    if best is None:
+        return None
+    return AdequateSet(tuple(sorted(best_set)), n), Fraction(best, b**n)
 
 
 def min_cover_optimize(
-    n: int,
-    params: GameParams,
-    max_size: int | None = None,
-    node_budget: int | None = None,
+    n: int, params: GameParams, node_budget: int | None = None
 ) -> tuple[AdequateSet, Fraction]:
-    """Adequate set of globally minimum probability, over all sizes.
-
-    Exact branch and bound over radius-1 ball covers: branch on the
-    elements able to cover the currently lowest-index uncovered
-    configuration (cheapest first, with earlier branches banned in later
-    ones so no cover is visited twice), prune on the incumbent using the
-    cheapest way to cover that configuration.  Because all weights are
-    strictly positive, the returned optimum is automatically irredundant.
+    """Adequate set of globally minimum probability, over all sizes, by the
+    exact branch and bound of :func:`_cover_search`; the returned optimum
+    is irredundant.
 
     ``node_budget`` bounds the search-tree size for best-effort runs on
     larger n; exceeding it raises :class:`ResourceLimitError`.
@@ -398,141 +461,7 @@ def min_cover_optimize(
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
-    h = 1 << n
-    full = _full_mask(n)
-    balls = _balls(n)
-    weights = _weights(n, params)
-    # candidate elements covering each configuration, cheapest first
-    coverers = [
-        sorted((c, *(c ^ (1 << k) for k in range(n))), key=lambda e: (weights[e], e))
-        for c in range(h)
-    ]
-    cheapest_cover = [min(weights[e] for e in coverers[c]) for c in range(h)]
-
-    greedy = _greedy_cover(n, weights)
-    best_value = sum((weights[e] for e in greedy), Fraction(0))
-    best_set: tuple[int, ...] = tuple(sorted(greedy))
-    if max_size is not None and len(greedy) > max_size:
-        best_value = None  # greedy incumbent not feasible under the cap
-        best_set = ()
-
-    nodes = 0
-
-    def rec(covered: int, chosen: tuple[int, ...], weight: Fraction, banned: int):
-        nonlocal best_value, best_set, nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise ResourceLimitError(
-                "cover search exceeded the node budget (%d)" % node_budget
-            )
-        if covered == full:
-            if best_value is None or weight < best_value:
-                best_value = weight
-                best_set = chosen
-            return
-        if max_size is not None and len(chosen) >= max_size:
-            return
-        uncovered = full & ~covered
-        low = (uncovered & -uncovered).bit_length() - 1
-        if best_value is not None and weight + cheapest_cover[low] >= best_value:
-            return
-        tried = 0
-        for e in coverers[low]:
-            if (banned >> e) & 1 or e in chosen:
-                continue
-            rec(covered | balls[e], chosen + (e,), weight + weights[e], banned | tried)
-            tried |= 1 << e
-        return
-
-    rec(0, (), Fraction(0), 0)
-    if best_value is None:
-        raise NoAdequateSetError(
-            "no adequate set within max_size=%r exists for n=%d" % (max_size, n)
-        )
-    aset = AdequateSet(tuple(sorted(best_set)), n)
-    return aset, best_value
-
-
-def _min_cover_exact_size(
-    n: int, params: GameParams, size: int
-) -> tuple[AdequateSet, Fraction] | None:
-    """Minimum-probability adequate set of *exactly* ``size`` elements.
-
-    Any adequate set is an irredundant cover plus padding, and for a fixed
-    cover the optimal padding is just the cheapest elements not already
-    chosen.  The branch-and-bound therefore explores covers as in
-    :func:`min_cover_optimize` and closes each completed cover with greedy
-    padding, with an admissible bound built from prefix sums of the
-    globally cheapest weights.
-    """
-    h = 1 << n
-    if size > h:
-        return None
-    full = _full_mask(n)
-    balls = _balls(n)
-    weights = _weights(n, params)
-    order = sorted(range(h), key=lambda e: (weights[e], e))
-    coverers = [
-        sorted((c, *(c ^ (1 << k) for k in range(n))), key=lambda e: (weights[e], e))
-        for c in range(h)
-    ]
-
-    best: list = [None, None]  # value, sorted tuple
-
-    def pad_value(chosen: set[int], need: int) -> tuple[Fraction, list[int]]:
-        extras: list[int] = []
-        total = Fraction(0)
-        for e in order:
-            if len(extras) == need:
-                break
-            if e in chosen:
-                continue
-            extras.append(e)
-            total += weights[e]
-        return total, extras
-
-    def cheapest_outside(chosen: set[int], count: int) -> Fraction:
-        total = Fraction(0)
-        taken = 0
-        for e in order:
-            if taken == count:
-                break
-            if e in chosen:
-                continue
-            total += weights[e]
-            taken += 1
-        return total
-
-    def rec(covered: int, chosen: tuple[int, ...], weight: Fraction, banned: int):
-        k = len(chosen)
-        if covered == full:
-            extra_w, extras = pad_value(set(chosen), size - k)
-            value = weight + extra_w
-            if best[0] is None or value < best[0]:
-                best[0] = value
-                best[1] = tuple(sorted(chosen + tuple(extras)))
-            return
-        if k >= size:
-            return
-        uncovered = full & ~covered
-        if uncovered.bit_count() > (size - k) * (n + 1):
-            return
-        if best[0] is not None:
-            bound = weight + cheapest_outside(set(chosen), size - k)
-            if bound >= best[0]:
-                return
-        low = (uncovered & -uncovered).bit_length() - 1
-        tried = 0
-        for e in coverers[low]:
-            if (banned >> e) & 1 or e in chosen:
-                continue
-            rec(covered | balls[e], chosen + (e,), weight + weights[e], banned | tried)
-            tried |= 1 << e
-
-    rec(0, (), Fraction(0), 0)
-    if best[0] is None:
-        return None
-    return AdequateSet(best[1], n), best[0]
+    return _cover_search(n, params, node_budget=node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +472,10 @@ def _min_cover_exact_size(
 @dataclass(frozen=True)
 class SweepRow:
     """One row of a size sweep: the best adequate set of exactly ``size``
-    elements (``witness`` is the lexicographically smallest one when the
-    row was computed exhaustively, otherwise the branch-and-bound
-    optimum)."""
+    elements.  Rows within the exhaustive limit are enumerated and
+    ``witness`` is the lexicographically smallest optimum; larger rows come
+    from the branch and bound of :func:`_cover_search` and ``witness`` is
+    the first optimum in its search order."""
 
     size: int
     signature: Signature | None
@@ -596,7 +526,6 @@ def size_sweep(
     n: int,
     sizes: Iterable[int],
     params: GameParams,
-    allow_branch_and_bound: bool = True,
 ) -> list[SweepRow]:
     """Minimum probability and its signature for each requested set size.
 
@@ -615,12 +544,7 @@ def size_sweep(
         if math.comb(1 << n, size) <= _EXHAUSTIVE_SUBSET_LIMIT:
             rows.append(_sweep_row_exhaustive(n, size, params))
         else:
-            if not allow_branch_and_bound:
-                raise ResourceLimitError(
-                    "size %d for n=%d requires the branch-and-bound search, "
-                    "which was disallowed" % (size, n)
-                )
-            found = _min_cover_exact_size(n, params, size)
+            found = _cover_search(n, params, size=size)
             if found is None:
                 rows.append(SweepRow(size, None, None, None))
             else:

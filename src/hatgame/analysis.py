@@ -17,6 +17,7 @@ floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -192,14 +193,25 @@ class DominanceGraph:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=8)
+def _class_histogram(n: int) -> tuple[tuple[Signature, int], ...]:
+    """Each signature of the minimum-size adequate sets with its number of
+    sets."""
+    counts = Counter(
+        signature(aset) for aset in adequate_sets_cached(n, min_cover_size(n))
+    )
+    return tuple(counts.items())
+
+
 def signature_classes(n: int) -> tuple[Signature, ...]:
     """Distinct signatures of the minimum-size adequate sets, ordered by
     probability at p = 9/10 (ascending), ties by compact string."""
-    size = min_cover_size(n)
     params = GameParams(n, Fraction(9, 10))
-    distinct = {signature(aset) for aset in adequate_sets_cached(n, size)}
     return tuple(
-        sorted(distinct, key=lambda s: (s.probability(params), s.compact()))
+        sorted(
+            (sig for sig, _ in _class_histogram(n)),
+            key=lambda s: (s.probability(params), s.compact()),
+        )
     )
 
 
@@ -369,41 +381,27 @@ def count_optimal_sets(n: int, p: Number) -> int:
     x = p if isinstance(p, Sqrt2Num) else Sqrt2Num(Fraction(p))
     if not Sqrt2Num(Fraction(0)) < x < Sqrt2Num(Fraction(1)):
         raise ValueError("p must lie strictly between 0 and 1")
-    size = min_cover_size(n)
-    sets = adequate_sets_cached(n, size)
-    sig_counts: dict[Signature, int] = {}
-    for aset in sets:
-        sig = signature(aset)
-        sig_counts[sig] = sig_counts.get(sig, 0) + 1
-    values = {sig: signature_poly(sig)(x) for sig in sig_counts}
-    best = None
-    for sig, value in values.items():
-        if best is None or number_sign(value - best) < 0:
-            best = value
-    return sum(
-        count
-        for sig, count in sig_counts.items()
-        if number_sign(values[sig] - best) == 0
-    )
+    return sum(count for _, count in _optimal_classes(n, x))
 
 
 def optimal_signature_classes(n: int, p: Number) -> tuple[Signature, ...]:
     """The loss classes attaining the minimum at ``p``, sorted by compact
     label (used for regime-stability checks)."""
+    classes = (sig for sig, _ in _optimal_classes(n, p))
+    return tuple(sorted(classes, key=Signature.compact))
+
+
+def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, int]]:
+    """The minimum-size loss classes of least probability at ``p``, with
+    their numbers of sets."""
     x = p if isinstance(p, Sqrt2Num) else Sqrt2Num(Fraction(p))
-    size = min_cover_size(n)
-    sigs = {signature(aset) for aset in adequate_sets_cached(n, size)}
-    values = {sig: signature_poly(sig)(x) for sig in sigs}
-    best = None
-    for value in values.values():
-        if best is None or number_sign(value - best) < 0:
-            best = value
-    return tuple(
-        sorted(
-            (sig for sig in sigs if number_sign(values[sig] - best) == 0),
-            key=lambda s: s.compact(),
-        )
-    )
+    values = [
+        (sig, count, signature_poly(sig)(x)) for sig, count in _class_histogram(n)
+    ]
+    best = min(value for _, _, value in values)
+    return [
+        (sig, count) for sig, count, value in values if number_sign(value - best) == 0
+    ]
 
 
 # ---------------------------------------------------------------------------

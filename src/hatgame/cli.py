@@ -2,8 +2,8 @@
 
 Every capability of the library is reachable as a subcommand with
 reproducible output: identical flags produce byte-identical output (no
-randomness anywhere, worker hints do not affect ordering).  Probabilities
-are printed both as decimals (12 significant digits) and exact rationals.
+randomness anywhere).  Probabilities are printed both as decimals (12
+significant digits) and exact rationals.
 
 Exit codes: 0 success, 2 bad arguments, 3 resource limit exceeded.
 """
@@ -136,6 +136,11 @@ def cmd_solve(args) -> int:
     n = args.n
     if n > 5:
         raise ResourceLimitError("guaranteed-optimal solving is supported for n <= 5")
+    if args.all_matrices and n > 3:
+        raise ResourceLimitError(
+            "--all-matrices enumerates a constrained strategy space; "
+            "supported for n <= 3"
+        )
     params = GameParams(n, args.p)
     size = min_cover_size(n)
     from .adequate import optimal_sets
@@ -187,11 +192,6 @@ def cmd_solve(args) -> int:
         print("matrix:")
         print(matrix.to_text())
         if args.all_matrices:
-            if n > 3:
-                raise ResourceLimitError(
-                    "--all-matrices enumerates a constrained strategy space; "
-                    "supported for n <= 3"
-                )
             everything = all_matrices_for_set(aset)
             print("all %d matrices losing exactly on this set:" % len(everything))
             for m in everything:
@@ -496,12 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, formats=("csv", "json"), default="csv"):
         p.add_argument("--format", choices=formats, default=default)
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker-count hint; output is identical for any value",
-        )
 
     p = sub.add_parser("enumerate", help="list all adequate sets of a given size")
     p.add_argument("--n", type=int, required=True)

@@ -10,7 +10,7 @@ from hatgame.adequate import (
     AdequateSet,
     NoAdequateSetError,
     Signature,
-    _min_cover_exact_size,
+    _cover_search,
     adequate_sets_cached,
     ball_mask,
     enumerate_adequate,
@@ -343,6 +343,21 @@ def test_min_cover_optimize_examples():
     assert aset5.elements == (0, 7, 11, 19, 28, 29, 30)
 
 
+def test_min_cover_witnesses_are_pinned():
+    # witness and value of the global search at mirrored p: the greedy
+    # incumbent and the search order decide which optimum is reported
+    expected = {
+        Fraction(1, 4): ((1, 2, 7, 12, 20, 27, 28), Fraction(159, 1024)),
+        Fraction(2, 5): ((1, 2, 7, 12, 20, 27, 28), Fraction(618, 3125)),
+        HALF: ((0, 1, 2, 15, 23, 27, 28), Fraction(7, 32)),
+        Fraction(3, 5): ((1, 6, 14, 22, 24, 27, 29), Fraction(618, 3125)),
+        Fraction(3, 4): ((1, 6, 14, 22, 24, 27, 29), Fraction(159, 1024)),
+    }
+    for p, (elements, value) in expected.items():
+        aset, got = min_cover_optimize(5, GameParams(5, p))
+        assert (aset.elements, got) == (elements, value)
+
+
 def test_min_cover_witness_is_irredundant():
     for n, p in [(3, NINE_TENTHS), (4, P55), (5, NINE_TENTHS)]:
         aset, value = min_cover_optimize(n, GameParams(n, p))
@@ -362,13 +377,6 @@ def test_min_cover_never_beaten_by_fixed_size():
         # equality at the minimum size
         _, at_min = optimal_sets(n, params, min_cover_size(n))
         assert global_best == at_min
-
-
-def test_min_cover_max_size_cap():
-    aset, value = min_cover_optimize(3, GameParams(3, NINE_TENTHS), max_size=2)
-    assert value == Fraction(9, 100)
-    with pytest.raises(NoAdequateSetError):
-        min_cover_optimize(3, GameParams(3, NINE_TENTHS), max_size=1)
 
 
 def test_min_cover_node_budget():
@@ -439,20 +447,33 @@ def test_sweep_exact_size_search_matches_exhaustive():
             exhaustive_best = min(
                 set_probability(a, params) for a in adequate_sets_cached(4, size)
             )
-            found = _min_cover_exact_size(4, params, size)
+            found = _cover_search(4, params, size=size)
             assert found is not None and found[1] == exhaustive_best
     params5 = GameParams(5, P55)
     for size in (7, 8):
         exhaustive_best = min(
             set_probability(a, params5) for a in adequate_sets_cached(5, size)
         )
-        found = _min_cover_exact_size(5, params5, size)
+        found = _cover_search(5, params5, size=size)
         assert found is not None and found[1] == exhaustive_best
 
 
+def test_sweep_exact_size_witnesses_are_pinned():
+    # branch-and-bound rows: the witnesses at p and 1 - p are not
+    # complements of each other
+    rows = size_sweep(5, (10, 11, 12), GameParams(5, Fraction(3, 5)))
+    assert [(r.signature.compact(), r.min_sum, r.witness.elements) for r in rows] == [
+        ("142210", Fraction(746, 3125), (1, 6, 14, 15, 22, 23, 24, 27, 29, 31)),
+        ("152210", Fraction(794, 3125), (1, 6, 14, 15, 22, 23, 24, 27, 29, 30, 31)),
+        ("153210", Fraction(866, 3125), (1, 6, 11, 13, 15, 22, 23, 24, 27, 29, 30, 31)),
+    ]
+    (row,) = size_sweep(5, (10,), GameParams(5, Fraction(2, 5)))
+    assert (row.signature.compact(), row.min_sum, row.witness.elements) == (
+        "012241", Fraction(746, 3125), (0, 1, 2, 3, 4, 5, 7, 8, 25, 30)
+    )
+
+
 def test_sweep_large_sizes_need_branch_and_bound():
-    with pytest.raises(ResourceLimitError):
-        size_sweep(5, (17,), GameParams(5, P55), allow_branch_and_bound=False)
     with pytest.raises(ResourceLimitError):
         size_sweep(6, (12,), GameParams(6, P55))
 

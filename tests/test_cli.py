@@ -159,6 +159,15 @@ def test_solve_resource_limit(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_all_matrices_refused_before_output(capsys, fmt):
+    code, out, err = run(capsys, "solve", "--n", "5", "--p", "0.9",
+                         "--all-matrices", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
 def test_evaluate_with_comments_and_star(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("# a hand-written strategy\n0 *\n1 1\n")
@@ -332,6 +341,3 @@ def test_output_is_deterministic(capsys, argv):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
-    # the worker-count hint must not change output
-    _, third, _ = run(capsys, *argv, "--jobs", "4")
-    assert first == third
