@@ -309,10 +309,13 @@ def min_cover_size(n: int) -> int:
     """Smallest size of an adequate set for n players.
 
     Searches ascending from the sphere-covering bound 2^n/(n+1); equals the
-    minimum size K(n,1) of a binary covering code of radius 1.
+    minimum size K(n,1) of a binary covering code of radius 1.  Refused
+    for n > 5, where ruling out the smaller sizes takes too long.
     """
     if not 2 <= n <= MAX_PLAYERS:
         raise ValueError("n must be in [2, %d]" % MAX_PLAYERS)
+    if n > 5:
+        raise ResourceLimitError("minimum cover sizes are supported for n <= 5")
     h = 1 << n
     lower = -(-h // (n + 1))  # ceil
     for size in range(max(1, lower), h + 1):

@@ -5,7 +5,9 @@ reproducible output: identical flags produce byte-identical output (no
 randomness anywhere).  Probabilities are printed both as decimals (12
 significant digits) and exact rationals.
 
-Exit codes: 0 success, 2 bad arguments, 3 resource limit exceeded.
+Exit codes: 0 success, 2 bad arguments, 3 resource limit exceeded.  A
+reader that closes stdout early (``hatgame ... | head``) is not an error:
+the rest of the output is dropped and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -14,15 +16,18 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import analysis
 from .adequate import (
     NoAdequateSetError,
+    Signature,
     adequate_sets_cached,
     count_whites,
     min_cover_size,
+    optimal_sets,
     set_probability,
     signature,
     size_sweep,
@@ -143,8 +148,6 @@ def cmd_solve(args) -> int:
         )
     params = GameParams(n, args.p)
     size = min_cover_size(n)
-    from .adequate import optimal_sets
-
     sets, min_sum = optimal_sets(n, params, size)
     psi = 1 - min_sum
     matrices = [matrix_from_set(aset) for aset in sets]
@@ -161,9 +164,9 @@ def cmd_solve(args) -> int:
                     "elements": list(aset.elements),
                     "sum": rational_str(min_sum),
                     "signature": signature(aset).compact(),
-                    "matrix": matrix_from_set(aset).to_json_rows(),
+                    "matrix": matrix.to_json_rows(),
                 }
-                for aset in sets
+                for aset, matrix in zip(sets, matrices)
             ],
         }
         if args.all_matrices:
@@ -284,8 +287,6 @@ def cmd_dominance(args) -> int:
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
             raise ValueError("--a and --b must be given together")
-        from .adequate import Signature
-
         result = analysis.dominance(
             Signature.from_compact(args.a), Signature.from_compact(args.b)
         )
@@ -564,10 +565,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered nowhere so the
+        # flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, NoAdequateSetError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_ARGS

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 #: Hard cap on the number of players.  Score tables hold N * 2^(N-1)
@@ -69,15 +69,11 @@ def exact_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class GameParams:
-    """Number of players plus the exact hat-color distribution.
-
-    ``q_black`` may be omitted; it is derived as 1 - p_white.  If both are
-    given they must sum to exactly 1.
-    """
+    """Number of players plus the exact hat-color distribution; the black
+    probability ``q_black`` is always 1 - p_white."""
 
     n_players: int
     p_white: Fraction
-    q_black: Fraction | None = None
 
     def __post_init__(self):
         if not isinstance(self.n_players, int):
@@ -90,13 +86,10 @@ class GameParams:
         object.__setattr__(self, "p_white", p)
         if not 0 < p < 1:
             raise ValueError("p_white must satisfy 0 < p < 1, got %s" % (p,))
-        if self.q_black is None:
-            object.__setattr__(self, "q_black", 1 - p)
-        else:
-            q = exact_fraction(self.q_black)
-            object.__setattr__(self, "q_black", q)
-            if p + q != 1:
-                raise ValueError("p_white + q_black must equal 1 exactly")
+
+    @cached_property
+    def q_black(self) -> Fraction:
+        return 1 - self.p_white
 
 
 def _check_config(code: int, n: int) -> None:

@@ -11,10 +11,9 @@ and are marked FREE.
 The other direction is brute force: for two and three players the full
 strategy space (3^4 resp. 3^12 matrices) is searched outright, giving an
 oracle completely independent of the covering-set machinery.  The search
-is vectorized with numpy over the ternary encoding of matrices but all
-probability comparisons stay exact: matrices are bucketed by their integer
-win-sets first and only the handful of distinct win-sets is evaluated with
-Fraction arithmetic.
+runs on integer configuration masks, and all probability comparisons stay
+exact: matrices are bucketed by their win masks first and only the handful
+of distinct win masks is evaluated with Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (
+    CONCRETE_DECISIONS,
     FREE,
     GUESS_BLACK,
     GUESS_WHITE,
@@ -101,41 +99,41 @@ def brute_force_optimal(
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
-    width = 1 << (n - 1)
-    cells = n * width
-    total = 3**cells
-    idx = np.arange(total, dtype=np.int64)
-    # digit planes, most significant digit = cell (player 1, score 0)
-    planes = [
-        (idx // 3 ** (cells - 1 - pos)) % 3 - 1 for pos in range(cells)
-    ]
     table = score_table(n)
-    win_mask = np.zeros(total, dtype=np.int64)
-    for code in range(1 << n):
-        scores = table[code]
-        ok = np.ones(total, dtype=bool)
-        guessed = np.zeros(total, dtype=bool)
-        for i in range(n):
-            d = planes[i * width + scores[i]]
-            allowed = 1 - 2 * ((code >> (n - 1 - i)) & 1)
-            ok &= (d == 0) | (d == allowed)
-            guessed |= d != 0
-        win_mask |= (ok & guessed).astype(np.int64) << code
-    # exact evaluation happens once per distinct win-set, not per matrix
+    # every row of each player's decisions, in ternary-code order, as the
+    # masks of the configurations where it guesses wrong and where it
+    # guesses right
+    rows = []
+    for i in range(n):
+        outcomes = []
+        for row in itertools.product(CONCRETE_DECISIONS, repeat=1 << (n - 1)):
+            wrong = right = 0
+            for code in range(1 << n):
+                d = row[table[code][i]]
+                if d == 1 - 2 * ((code >> (n - 1 - i)) & 1):
+                    right |= 1 << code
+                elif d != PASS:
+                    wrong |= 1 << code
+            outcomes.append((wrong, right))
+        rows.append(outcomes)
+    # product over players, player 1 outermost: list index = ternary code
+    partial = [(0, 0)]
+    for outcomes in rows[:-1]:
+        partial = [(w | rw, r | rr) for w, r in partial for rw, rr in outcomes]
+    win_masks = [(r | rr) & ~(w | rw) for w, r in partial for rw, rr in rows[-1]]
+    # exact evaluation happens once per distinct win mask, not per matrix
     probs = [config_probability(c, params) for c in range(1 << n)]
-    distinct = np.unique(win_mask)
     values = {
-        int(m): sum(
-            (probs[c] for c in range(1 << n) if (int(m) >> c) & 1), Fraction(0)
-        )
-        for m in distinct
+        m: sum((probs[c] for c in range(1 << n) if (m >> c) & 1), Fraction(0))
+        for m in set(win_masks)
     }
     best = max(values.values())
-    best_masks = np.array(
-        [m for m in distinct if values[int(m)] == best], dtype=np.int64
-    )
-    winners = np.nonzero(np.isin(win_mask, best_masks))[0]
-    matrices = [_matrix_from_ternary_index(int(i), n) for i in winners]
+    best_masks = {m for m, v in values.items() if v == best}
+    matrices = [
+        _matrix_from_ternary_index(i, n)
+        for i, m in enumerate(win_masks)
+        if m in best_masks
+    ]
     return best, matrices
 
 

@@ -219,6 +219,11 @@ def test_min_cover_size():
     assert min_cover_size(5) == 7
 
 
+def test_min_cover_size_refused_for_six_players():
+    with pytest.raises(ResourceLimitError):
+        min_cover_size(6)
+
+
 # ---------------------------------------------------------------------------
 # Optimal sets at fixed size
 # ---------------------------------------------------------------------------

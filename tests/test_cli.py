@@ -1,10 +1,15 @@
 """Command-line interface: formats, fixtures, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hatgame
 from hatgame.cli import main, parse_probability, parse_size_range
 
 
@@ -321,6 +326,35 @@ def test_sweep_default_range_five_players(capsys):
     lines = out.splitlines()[1:]
     assert lines[0].startswith("7,024001,")
     assert len(lines) == 3
+
+
+def test_sweep_default_range_refused_for_six_players(capsys):
+    # the default range starts at min_cover_size(6), which is refused
+    code, out, err = run(capsys, "sweep", "--n", "6", "--p", "0.9")
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
+# ---------------------------------------------------------------------------
+# A reader that closes the pipe early
+# ---------------------------------------------------------------------------
+
+
+def test_closed_stdout_pipe_is_not_an_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(hatgame.__file__).parents[1]))
+    # about 500 kB of json, more than a pipe holds, so a write must fail
+    with subprocess.Popen(
+        [sys.executable, "-m", "hatgame", "psi", "--n", "3", "--pmin", "0.001",
+         "--pmax", "0.999", "--steps", "4000", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.read(10) == b'{"n": 3, "'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert status == 0
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

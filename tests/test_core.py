@@ -40,11 +40,6 @@ def test_params_derive_q():
     assert params.p_white + params.q_black == 1
 
 
-def test_params_reject_inconsistent_q():
-    with pytest.raises(ValueError):
-        GameParams(3, NINE_TENTHS, Fraction(2, 10))
-
-
 def test_params_reject_floats():
     with pytest.raises(TypeError):
         GameParams(3, 0.9)

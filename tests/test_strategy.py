@@ -1,10 +1,15 @@
 """Matrix synthesis, brute force, constrained enumeration, symmetry."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import hatgame
 from hatgame.adequate import AdequateSet, enumerate_adequate, set_probability
 from hatgame.core import (
     FREE,
@@ -151,6 +156,15 @@ def test_brute_force_two_players_symmetric():
     assert best == HALF
     assert len(matrices) == 30
     assert len(dedupe_player_permutation(matrices, 2)) == 17
+    codes = []
+    for m in matrices:
+        code = 0
+        for row in m.rows:
+            for d in row:
+                code = 3 * code + d + 1
+        codes.append(code)
+    # ascending ternary code: player 1, score 0 is the leading digit
+    assert codes == sorted(set(codes))
 
 
 def test_brute_force_three_players_symmetric():
@@ -166,11 +180,21 @@ def test_brute_force_three_players_symmetric():
 def test_brute_force_three_players_asymmetric():
     best, matrices = brute_force_optimal(3, GameParams(3, NINE_TENTHS))
     assert best == Fraction(91, 100)
-    expected = {
-        matrix_from_set(AdequateSet(elems, 3)).rows
+    expected = [
+        matrix_from_set(AdequateSet(elems, 3))
         for elems in [(1, 6), (2, 5), (3, 4)]
-    }
-    assert {m.rows for m in matrices} == expected
+    ]
+    assert matrices == expected
+
+
+def test_package_imports_with_the_standard_library_alone():
+    # -S leaves site-packages off the path: no third-party package is found
+    env = dict(os.environ, PYTHONPATH=str(Path(hatgame.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import hatgame, hatgame.cli"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_brute_force_rejects_larger_games():
