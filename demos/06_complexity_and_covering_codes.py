@@ -53,9 +53,9 @@ for r in rows:
     )
 print()
 
-print("Five players at p = 11/20, where the story is subtler: beyond the")
-print("exhaustive band the rows come from an exact branch-and-bound with")
-print("a fixed-cardinality constraint.")
+print("Five players at p = 11/20, where the story is subtler: the rows")
+print("come from an exact branch-and-bound with a fixed-cardinality")
+print("constraint.")
 rows5 = size_sweep(5, (7, 8, 9, 12, 17, 18, 26, 31, 32), GameParams(5, Fraction(11, 20)))
 for r in rows5:
     print(

@@ -288,7 +288,10 @@ def _cover_tuples(n: int, size: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_adequate(n: int, size: int) -> Iterator[AdequateSet]:
     """Stream every adequate set of exactly ``size`` elements, in
-    lexicographic order of element tuples.  May be empty."""
+    lexicographic order of element tuples.  May be empty.  Refused for
+    n > 5, where the listings are beyond desk scale."""
+    if n > 5:
+        raise ResourceLimitError("adequate-set enumeration is supported for n <= 5")
     for elems in _cover_tuples(n, size):
         yield AdequateSet(elems, n)
 
@@ -302,26 +305,6 @@ def adequate_sets_cached(n: int, size: int) -> tuple[AdequateSet, ...]:
     optimal-set counts) share it through this cache.
     """
     return tuple(enumerate_adequate(n, size))
-
-
-@lru_cache(maxsize=32)
-def min_cover_size(n: int) -> int:
-    """Smallest size of an adequate set for n players.
-
-    Searches ascending from the sphere-covering bound 2^n/(n+1); equals the
-    minimum size K(n,1) of a binary covering code of radius 1.  Refused
-    for n > 5, where ruling out the smaller sizes takes too long.
-    """
-    if not 2 <= n <= MAX_PLAYERS:
-        raise ValueError("n must be in [2, %d]" % MAX_PLAYERS)
-    if n > 5:
-        raise ResourceLimitError("minimum cover sizes are supported for n <= 5")
-    h = 1 << n
-    lower = -(-h // (n + 1))  # ceil
-    for size in range(max(1, lower), h + 1):
-        for _ in _cover_tuples(n, size):
-            return size
-    raise AssertionError("the full configuration set is always adequate")
 
 
 def optimal_sets(
@@ -467,6 +450,22 @@ def min_cover_optimize(
     return _cover_search(n, params, node_budget=node_budget)
 
 
+@lru_cache(maxsize=32)
+def min_cover_size(n: int) -> int:
+    """Smallest size of an adequate set for n players: the minimum size
+    K(n,1) of a binary covering code of radius 1.
+
+    At p = 1/2 every configuration has the same probability, so the
+    cheapest cover found by :func:`min_cover_optimize` is a smallest one.
+    Refused for n > 5, where the search takes too long.
+    """
+    if not 2 <= n <= MAX_PLAYERS:
+        raise ValueError("n must be in [2, %d]" % MAX_PLAYERS)
+    if n > 5:
+        raise ResourceLimitError("minimum cover sizes are supported for n <= 5")
+    return min_cover_optimize(n, GameParams(n, Fraction(1, 2)))[0].size
+
+
 # ---------------------------------------------------------------------------
 # Size sweeps
 # ---------------------------------------------------------------------------
@@ -475,10 +474,8 @@ def min_cover_optimize(
 @dataclass(frozen=True)
 class SweepRow:
     """One row of a size sweep: the best adequate set of exactly ``size``
-    elements.  Rows within the exhaustive limit are enumerated and
-    ``witness`` is the lexicographically smallest optimum; larger rows come
-    from the branch and bound of :func:`_cover_search` and ``witness`` is
-    the first optimum in its search order."""
+    elements, found by the branch and bound of :func:`_cover_search`;
+    ``witness`` is the first optimum in its search order."""
 
     size: int
     signature: Signature | None
@@ -486,51 +483,13 @@ class SweepRow:
     witness: AdequateSet | None
 
 
-# exhaustive enumeration is used while C(2^n, size) stays below this
-# (covers everything at n <= 4 and sizes up to 9 at n = 5); beyond it the
-# cardinality-constrained branch and bound (equally exact, validated
-# against exhaustion where both run) takes over
-_EXHAUSTIVE_SUBSET_LIMIT = 30_000_000
-
-
-def _sweep_row_exhaustive(n: int, size: int, params: GameParams) -> SweepRow:
-    """Exhaustive sweep row.
-
-    Streams the raw element tuples and buckets them by signature, since
-    distinct signatures are few and a signature fixes the probability;
-    exact arithmetic then happens once per signature instead of once per
-    set.  The witness is the lexicographically first set attaining the
-    minimum.
-    """
-    whites = [count_whites(c, n) for c in range(1 << n)]
-    first_by_sig: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for t in _cover_tuples(n, size):
-        counts = [0] * (n + 1)
-        for e in t:
-            counts[whites[e]] += 1
-        key = tuple(counts)
-        if key not in first_by_sig:
-            first_by_sig[key] = t
-    if not first_by_sig:
-        return SweepRow(size, None, None, None)
-    best_val: Fraction | None = None
-    best_wit: tuple[int, ...] | None = None
-    best_sig: tuple[int, ...] | None = None
-    for key, wit in first_by_sig.items():
-        val = Signature(key).probability(params)
-        if best_val is None or val < best_val or (val == best_val and wit < best_wit):
-            best_val, best_wit, best_sig = val, wit, key
-    return SweepRow(
-        size, Signature(best_sig), best_val, AdequateSet(best_wit, n)
-    )
-
-
 def size_sweep(
     n: int,
     sizes: Iterable[int],
     params: GameParams,
 ) -> list[SweepRow]:
-    """Minimum probability and its signature for each requested set size.
+    """Minimum probability and its signature for each requested set size,
+    each row from the exact-size branch and bound of :func:`_cover_search`.
 
     Rows whose size admits no adequate set carry ``None`` entries.  For
     n >= 6 the search space is beyond desk scale and the call is refused.
@@ -544,13 +503,10 @@ def size_sweep(
     for size in sizes:
         if not 1 <= size <= (1 << n):
             raise ValueError("size %r out of range for n=%d" % (size, n))
-        if math.comb(1 << n, size) <= _EXHAUSTIVE_SUBSET_LIMIT:
-            rows.append(_sweep_row_exhaustive(n, size, params))
+        found = _cover_search(n, params, size=size)
+        if found is None:
+            rows.append(SweepRow(size, None, None, None))
         else:
-            found = _cover_search(n, params, size=size)
-            if found is None:
-                rows.append(SweepRow(size, None, None, None))
-            else:
-                witness, best = found
-                rows.append(SweepRow(size, signature(witness), best, witness))
+            witness, best = found
+            rows.append(SweepRow(size, signature(witness), best, witness))
     return rows

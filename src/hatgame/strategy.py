@@ -19,7 +19,6 @@ of distinct win masks is evaluated with Fraction arithmetic.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .core import (
@@ -30,6 +29,7 @@ from .core import (
     PASS,
     DecisionMatrix,
     GameParams,
+    ResourceLimitError,
     config_probability,
     evaluate_matrix,
     score_table,
@@ -282,37 +282,27 @@ def dedupe_player_permutation(
 # ---------------------------------------------------------------------------
 
 _EXHAUSTIVE_FREE_LIMIT = 12
-_SAMPLED_FREE_TRIALS = 200
 
 
 def free_invariance_check(matrix: DecisionMatrix, params: GameParams) -> bool:
     """Is the matrix value independent of how FREE cells are resolved?
 
-    Exhaustive over all 3^k substitutions while k <= 12; for more FREE
-    cells (never produced by the synthesizer at supported n, but possible
-    for hand-built inputs) falls back to per-cell independent substitution
-    plus seeded random joint samples.
+    Exhaustive over all 3^k substitutions; refused up front when the
+    matrix has more than 12 FREE cells (the synthesizer produces at most 8
+    at supported n, so only hand-built inputs get there).
     """
     cells = matrix.free_cells()
+    if len(cells) > _EXHAUSTIVE_FREE_LIMIT:
+        raise ResourceLimitError(
+            "FREE-cell invariance is checked for at most %d FREE cells, got %d"
+            % (_EXHAUSTIVE_FREE_LIMIT, len(cells))
+        )
     if not cells:
         return True
     reference = evaluate_matrix(matrix.substitute_free(PASS), params)
     choices = (GUESS_BLACK, PASS, GUESS_WHITE)
-    if len(cells) <= _EXHAUSTIVE_FREE_LIMIT:
-        for combo in itertools.product(choices, repeat=len(cells)):
-            fill = dict(zip(cells, combo))
-            if evaluate_matrix(matrix.substitute_free(fill), params) != reference:
-                return False
-        return True
-    for cell in cells:
-        for v in choices:
-            fill = {c: PASS for c in cells}
-            fill[cell] = v
-            if evaluate_matrix(matrix.substitute_free(fill), params) != reference:
-                return False
-    rng = random.Random(0)
-    for _ in range(_SAMPLED_FREE_TRIALS):
-        fill = {c: rng.choice(choices) for c in cells}
+    for combo in itertools.product(choices, repeat=len(cells)):
+        fill = dict(zip(cells, combo))
         if evaluate_matrix(matrix.substitute_free(fill), params) != reference:
             return False
     return True

@@ -10,7 +10,6 @@ from hatgame.adequate import (
     AdequateSet,
     NoAdequateSetError,
     Signature,
-    _cover_search,
     adequate_sets_cached,
     ball_mask,
     enumerate_adequate,
@@ -195,6 +194,11 @@ def test_enumeration_is_lexicographic_and_valid():
     tuples = [a.elements for a in enumerate_adequate(4, 5)]
     assert tuples == sorted(tuples)
     assert len(tuples) == 560
+
+
+def test_enumeration_refused_for_six_players():
+    with pytest.raises(ResourceLimitError):
+        list(enumerate_adequate(6, 12))
 
 
 def test_five_element_sets_without_four_element_core():
@@ -444,28 +448,35 @@ def test_sweep_infeasible_sizes_give_empty_rows():
 
 
 def test_sweep_exact_size_search_matches_exhaustive():
-    # the cardinality-constrained branch and bound agrees with exhaustive
-    # enumeration everywhere both are feasible
-    for p in (NINE_TENTHS, P55):
-        params = GameParams(4, p)
-        for size in range(4, 17):
-            exhaustive_best = min(
-                set_probability(a, params) for a in adequate_sets_cached(4, size)
-            )
-            found = _cover_search(4, params, size=size)
-            assert found is not None and found[1] == exhaustive_best
-    params5 = GameParams(5, P55)
-    for size in (7, 8):
-        exhaustive_best = min(
-            set_probability(a, params5) for a in adequate_sets_cached(5, size)
-        )
-        found = _cover_search(5, params5, size=size)
-        assert found is not None and found[1] == exhaustive_best
+    # every sweep row agrees with exhaustive enumeration on the value, and
+    # its witness is one of the enumerated optima
+    def check(n, size, ps):
+        by_sig = {}
+        for aset in adequate_sets_cached(n, size):
+            by_sig.setdefault(signature(aset), []).append(aset)
+        for p in ps:
+            params = GameParams(n, p)
+            (row,) = size_sweep(n, (size,), params)
+            if not by_sig:
+                assert row.witness is None and row.min_sum is None
+                continue
+            # a signature fixes the probability: one set per class suffices
+            values = {sig: set_probability(sets[0], params)
+                      for sig, sets in by_sig.items()}
+            best = min(values.values())
+            assert row.min_sum == best
+            assert values.get(row.signature) == best
+            assert row.witness in by_sig[row.signature]
+
+    for n in (2, 3, 4):
+        for size in range(1, (1 << n) + 1):
+            check(n, size, (NINE_TENTHS, P55, Fraction(1, 10), Fraction(2, 5)))
+    check(5, 7, (P55, Fraction(2, 5)))
+    check(5, 8, (P55,))
 
 
 def test_sweep_exact_size_witnesses_are_pinned():
-    # branch-and-bound rows: the witnesses at p and 1 - p are not
-    # complements of each other
+    # the witnesses at p and 1 - p are not complements of each other
     rows = size_sweep(5, (10, 11, 12), GameParams(5, Fraction(3, 5)))
     assert [(r.signature.compact(), r.min_sum, r.witness.elements) for r in rows] == [
         ("142210", Fraction(746, 3125), (1, 6, 14, 15, 22, 23, 24, 27, 29, 31)),
@@ -476,6 +487,13 @@ def test_sweep_exact_size_witnesses_are_pinned():
     assert (row.signature.compact(), row.min_sum, row.witness.elements) == (
         "012241", Fraction(746, 3125), (0, 1, 2, 3, 4, 5, 7, 8, 25, 30)
     )
+    # each witness is the first optimum in search order; the
+    # lexicographically smallest optima are (0, 1, 3, 5, 14) and
+    # (0, 1, 2, 3, 5, 14)
+    rows = size_sweep(4, (5, 6), GameParams(4, Fraction(1, 10)))
+    assert [r.witness.elements for r in rows] == [
+        (0, 1, 6, 10, 13), (0, 1, 2, 3, 7, 12)
+    ]
 
 
 def test_sweep_large_sizes_need_branch_and_bound():

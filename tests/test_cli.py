@@ -336,6 +336,13 @@ def test_sweep_default_range_refused_for_six_players(capsys):
     assert "resource limit" in err
 
 
+def test_enumerate_refused_for_six_players(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "6", "--das", "12")
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
 # ---------------------------------------------------------------------------
 # A reader that closes the pipe early
 # ---------------------------------------------------------------------------

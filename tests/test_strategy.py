@@ -18,6 +18,7 @@ from hatgame.core import (
     PASS,
     DecisionMatrix,
     GameParams,
+    ResourceLimitError,
     evaluate_matrix,
     losing_configs,
 )
@@ -332,6 +333,19 @@ def test_free_invariance_counterexample():
     # wins configuration 00, passing loses it
     bad = DecisionMatrix(((FREE, PASS), (PASS, PASS)))
     assert not free_invariance_check(bad, GameParams(2, HALF))
+
+
+def test_free_invariance_refused_beyond_exhaustive_limit(monkeypatch):
+    # 13 FREE cells would take 3^13 evaluations; refused before any
+    cells = [FREE] * 13 + [PASS] * 19
+    m = DecisionMatrix(tuple(tuple(cells[8 * i : 8 * i + 8]) for i in range(4)))
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before refusing")
+
+    monkeypatch.setattr("hatgame.strategy.evaluate_matrix", no_evaluation)
+    with pytest.raises(ResourceLimitError):
+        free_invariance_check(m, GameParams(4, HALF))
 
 
 def test_free_invariance_all_generated_minimum_sets():
