@@ -16,7 +16,8 @@ kept as an independently-coded oracle for cross-checking.
 The weight (probability) of an element depends only on its number of white
 bits, so each set is summarized by its *signature*: the histogram
 (c_0, ..., c_N) counting elements by white-bit count.  A set's probability
-is then sum_j c_j p^j q^(N-j).
+is then sum_j c_j p^j q^(N-j), computed as the integer sum of the counts
+times :attr:`GameParams.weights`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .core import (
     GameParams,
     HatGameError,
     ResourceLimitError,
-    config_probability,
-    count_whites,
     score_table,
 )
 
@@ -193,14 +192,12 @@ class Signature:
         return Signature(tuple(reversed(self.counts)))
 
     def probability(self, params: GameParams) -> Fraction:
+        """sum_j c_j p^j q^(N-j): the counts dotted with the integer
+        :attr:`GameParams.weights`, one Fraction at the end."""
         if params.n_players != self.n_players:
             raise ValueError("signature length does not match params")
-        p, q = params.p_white, params.q_black
-        n = self.n_players
-        return sum(
-            (c * p**j * q ** (n - j) for j, c in enumerate(self.counts)),
-            Fraction(0),
-        )
+        total = sum(c * w for c, w in zip(self.counts, params.weights))
+        return Fraction(total, params.total_weight)
 
     def __str__(self):
         return self.compact()
@@ -211,18 +208,17 @@ def signature(aset: AdequateSet) -> Signature:
     n = aset.n_players
     counts = [0] * (n + 1)
     for e in aset.elements:
-        counts[count_whites(e, n)] += 1
+        counts[n - e.bit_count()] += 1
     return Signature(tuple(counts))
 
 
 def set_probability(aset: AdequateSet, params: GameParams) -> Fraction:
-    """Total probability of the set's configurations (the strategy's loss)."""
+    """Total probability of the set's configurations (the strategy's loss),
+    which its signature fixes."""
     if params.n_players != aset.n_players:
         raise ValueError("params are for %d players, set is for %d"
                          % (params.n_players, aset.n_players))
-    return sum(
-        (config_probability(e, params) for e in aset.elements), Fraction(0)
-    )
+    return signature(aset).probability(params)
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +307,22 @@ def optimal_sets(
     n: int, params: GameParams, size: int
 ) -> tuple[list[AdequateSet], Fraction]:
     """All minimum-probability adequate sets of exactly ``size`` elements
-    (lexicographic order) together with the minimum value."""
+    (lexicographic order) together with the minimum value.
+
+    Each distinct signature of the listing is evaluated once; the winners
+    are the sets whose signature attains the minimum."""
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
-    best: Fraction | None = None
-    winners: list[AdequateSet] = []
-    for aset in adequate_sets_cached(n, size):
-        value = set_probability(aset, params)
-        if best is None or value < best:
-            best = value
-            winners = [aset]
-        elif value == best:
-            winners.append(aset)
-    if best is None:
+    sets = adequate_sets_cached(n, size)
+    if not sets:
         raise NoAdequateSetError(
             "no adequate set of size %d exists for n=%d" % (size, n)
         )
-    return winners, best
+    sigs = [signature(aset) for aset in sets]
+    values = {sig: sig.probability(params) for sig in set(sigs)}
+    best = min(values.values())
+    return [aset for aset, sig in zip(sets, sigs) if values[sig] == best], best
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +342,8 @@ def _cover_search(
     Branch and bound over radius-1 ball covers: branch on the elements
     able to cover the lowest uncovered configuration, cheapest first, with
     earlier branches banned in later ones so no cover is visited twice.
-    For p = a/b a configuration with z white bits weighs a^z (b-a)^(n-z),
-    its probability scaled by b^n, so the search runs on integers.
+    It runs on the integer weights of :attr:`GameParams.weights` (each
+    probability scaled by b^n for p = a/b).
 
     Over all sizes, the search starts from a greedy cover and bounds with
     the cheapest coverer of the lowest uncovered configuration; all weights
@@ -364,9 +358,7 @@ def _cover_search(
     h = 1 << n
     full = _full_mask(n)
     balls = _balls(n)
-    a, b = params.p_white.numerator, params.p_white.denominator
-    by_whites = [a**z * (b - a) ** (n - z) for z in range(n + 1)]
-    weights = [by_whites[count_whites(c, n)] for c in range(h)]
+    weights = [params.weights[n - c.bit_count()] for c in range(h)]
     order = sorted(range(h), key=lambda e: (weights[e], e))
     coverers = [[e for e in order if (balls[c] >> e) & 1] for c in range(h)]
 
@@ -431,7 +423,8 @@ def _cover_search(
     rec(0, (), 0, 0)
     if best is None:
         return None
-    return AdequateSet(tuple(sorted(best_set)), n), Fraction(best, b**n)
+    value = Fraction(best, params.total_weight)
+    return AdequateSet(tuple(sorted(best_set)), n), value
 
 
 def min_cover_optimize(

@@ -16,6 +16,7 @@ floats.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -47,8 +48,10 @@ from .polys import (
 COVERING_CODE_SIZE = {2: 2, 3: 2, 4: 4, 5: 7, 6: 12, 7: 16, 8: 32, 9: 62}
 
 
+@lru_cache(maxsize=1024)
 def signature_poly(sig: Signature) -> Poly:
-    """Loss polynomial sum_j c_j p^j (1-p)^(n-j), expanded exactly."""
+    """Loss polynomial sum_j c_j p^j (1-p)^(n-j), expanded exactly and
+    cached per signature."""
     n = sig.n_players
     p = Poly.x()
     q = Poly((Fraction(1), Fraction(-1)))
@@ -346,23 +349,20 @@ def psi_curve(
     rows: list[CurveRow] = []
     for k in range(steps + 1):
         p = p_min + (p_max - p_min) * k / steps
-        rows.append(CurveRow(p, psi(p), str(psi.piece_index(p) + 1)))
+        i = psi.piece_index(p)
+        rows.append(CurveRow(p, psi.pieces[i](p), str(i + 1)))
+    # a breakpoint replaces the grid row it coincides with, else slots in
     for bp in psi.interior_breakpoints():
         if Sqrt2Num(p_min) <= bp <= Sqrt2Num(p_max):
             k = psi.piece_index(bp)
             label = "%d|%d" % (k + 1, k + 2) if bp < Sqrt2Num(p_max) else str(k + 1)
-            rows.append(CurveRow(bp, psi(bp), label, True))
-    # merge: breakpoints replace coincident grid rows, otherwise interleave
-    out: dict[object, CurveRow] = {}
-    for row in rows:
-        key = row.p if not isinstance(row.p, Sqrt2Num) or not row.p.is_rational else row.p.as_fraction()
-        if key in out and not row.is_breakpoint:
-            continue
-        out[key] = row
-    return sorted(
-        out.values(),
-        key=lambda r: r.p if isinstance(r.p, Sqrt2Num) else Sqrt2Num(Fraction(r.p)),
-    )
+            row = CurveRow(bp, psi.pieces[k](bp), label, True)
+            at = bisect.bisect_left(rows, bp, key=lambda r: r.p)
+            if at < len(rows) and rows[at].p == bp:
+                rows[at] = row
+            else:
+                rows.insert(at, row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +378,7 @@ def count_optimal_sets(n: int, p: Number) -> int:
     thresholds are sqrt(2)-1 and 2-sqrt(2), where two loss classes tie and
     the optimal families merge); comparison is exact either way.
     """
-    x = p if isinstance(p, Sqrt2Num) else Sqrt2Num(Fraction(p))
-    if not Sqrt2Num(Fraction(0)) < x < Sqrt2Num(Fraction(1)):
-        raise ValueError("p must lie strictly between 0 and 1")
-    return sum(count for _, count in _optimal_classes(n, x))
+    return sum(count for _, count in _optimal_classes(n, p))
 
 
 def optimal_signature_classes(n: int, p: Number) -> tuple[Signature, ...]:
@@ -393,15 +390,17 @@ def optimal_signature_classes(n: int, p: Number) -> tuple[Signature, ...]:
 
 def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, int]]:
     """The minimum-size loss classes of least probability at ``p``, with
-    their numbers of sets."""
-    x = p if isinstance(p, Sqrt2Num) else Sqrt2Num(Fraction(p))
+    their numbers of sets.  Each class's loss polynomial is evaluated at p
+    as given: a rational p in Fraction arithmetic, a quadratic one in
+    Q(sqrt 2)."""
+    x = p if isinstance(p, Sqrt2Num) else Fraction(p)
+    if not 0 < x < 1:
+        raise ValueError("p must lie strictly between 0 and 1")
     values = [
         (sig, count, signature_poly(sig)(x)) for sig, count in _class_histogram(n)
     ]
     best = min(value for _, _, value in values)
-    return [
-        (sig, count) for sig, count, value in values if number_sign(value - best) == 0
-    ]
+    return [(sig, count) for sig, count, value in values if value == best]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .adequate import (
     NoAdequateSetError,
     Signature,
     adequate_sets_cached,
-    count_whites,
     min_cover_size,
     optimal_sets,
     set_probability,
@@ -36,9 +35,10 @@ from .core import (
     DecisionMatrix,
     GameParams,
     ResourceLimitError,
+    count_whites,
     evaluate_matrix,
 )
-from .polys import Sqrt2Num, decimal_str
+from .polys import Number, Sqrt2Num, decimal_str
 from .strategy import (
     brute_force_optimal,
     all_matrices_for_set,
@@ -85,6 +85,13 @@ def parse_size_range(text: str) -> tuple[int, int]:
 def rational_str(value: Fraction) -> str:
     value = Fraction(value)
     return "%d/%d" % (value.numerator, value.denominator)
+
+
+def _exact_str(value: Number) -> str:
+    """Exact text of a value: a/b when rational, else a + b*sqrt(2)."""
+    if isinstance(value, Sqrt2Num):
+        return rational_str(value.a) if value.is_rational else str(value)
+    return rational_str(value)
 
 
 def _csv_out(rows, header):
@@ -204,7 +211,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    text = args.matrix.read_text() if hasattr(args.matrix, "read_text") else open(args.matrix).read()
+    with open(args.matrix) as handle:
+        text = handle.read()
     matrix = DecisionMatrix.from_text(text)
     n = matrix.n_players
     if args.n is not None and args.n != n:
@@ -265,13 +273,9 @@ def cmd_psi(args) -> int:
         payload = [
             {
                 "p": decimal_str(r.p),
-                "p_exact": rational_str(r.p.as_fraction())
-                if isinstance(r.p, Sqrt2Num) and r.p.is_rational
-                else (rational_str(r.p) if not isinstance(r.p, Sqrt2Num) else str(r.p)),
+                "p_exact": _exact_str(r.p),
                 "psi": decimal_str(r.psi),
-                "psi_exact": rational_str(r.psi.as_fraction())
-                if isinstance(r.psi, Sqrt2Num) and r.psi.is_rational
-                else (rational_str(r.psi) if not isinstance(r.psi, Sqrt2Num) else str(r.psi)),
+                "psi_exact": _exact_str(r.psi),
                 "piece": r.piece,
             }
             for r in rows

@@ -15,10 +15,12 @@ guess white (+1).  A fourth marker (``FREE``, printed ``*``, numeric 3)
 denotes matrix cells whose value provably cannot matter; it appears only in
 synthesized matrices, never in hand-written strategies.
 
-All probabilities are exact `fractions.Fraction` values.  Optimality
-boundaries in this problem sit on knife edges (including quadratic
-irrationals), so nothing in this package evaluates probabilities in
-floating point.
+All probabilities are exact.  For p = a/b a configuration with z white
+hats weighs the integer a^z (b-a)^(N-z), its probability times b^N, so
+every loss is an integer sum and becomes a `fractions.Fraction` only on
+return.  Optimality boundaries in this problem sit on knife edges
+(including quadratic irrationals), so nothing in this package evaluates
+probabilities in floating point.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def exact_fraction(value) -> Fraction:
 @dataclass(frozen=True)
 class GameParams:
     """Number of players plus the exact hat-color distribution; the black
-    probability ``q_black`` is always 1 - p_white."""
+    probability ``q_black`` is always 1 - p_white.  ``weights`` and
+    ``total_weight`` hold the integer arithmetic every loss runs on."""
 
     n_players: int
     p_white: Fraction
@@ -90,6 +93,20 @@ class GameParams:
     @cached_property
     def q_black(self) -> Fraction:
         return 1 - self.p_white
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Integer weight a^z (b-a)^(N-z) of a configuration with z white
+        hats, indexed by z, for p = a/b: its probability times
+        :attr:`total_weight`."""
+        a, b = self.p_white.numerator, self.p_white.denominator
+        n = self.n_players
+        return tuple(a**z * (b - a) ** (n - z) for z in range(n + 1))
+
+    @cached_property
+    def total_weight(self) -> int:
+        """b^N, the weight of all configurations together."""
+        return self.p_white.denominator**self.n_players
 
 
 def _check_config(code: int, n: int) -> None:
@@ -164,7 +181,7 @@ def score_table(n: int) -> tuple[tuple[int, ...], ...]:
 def config_probability(code: int, params: GameParams) -> Fraction:
     """Probability p^z q^(N-z) of a configuration with z white hats."""
     z = count_whites(code, params.n_players)
-    return params.p_white**z * params.q_black ** (params.n_players - z)
+    return Fraction(params.weights[z], params.total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +340,10 @@ def evaluate_matrix(
             "matrix is for %d players but params specify %d"
             % (matrix.n_players, params.n_players)
         )
-    total = Fraction(0)
-    for code in range(1 << matrix.n_players):
-        if wins(matrix, code, free_as):
-            total += config_probability(code, params)
-    return total
+    n, weights = params.n_players, params.weights
+    total = sum(
+        weights[n - code.bit_count()]
+        for code in range(1 << n)
+        if wins(matrix, code, free_as)
+    )
+    return Fraction(total, params.total_weight)

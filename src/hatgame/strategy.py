@@ -12,8 +12,8 @@ The other direction is brute force: for two and three players the full
 strategy space (3^4 resp. 3^12 matrices) is searched outright, giving an
 oracle completely independent of the covering-set machinery.  The search
 runs on integer configuration masks, and all probability comparisons stay
-exact: matrices are bucketed by their win masks first and only the handful
-of distinct win masks is evaluated with Fraction arithmetic.
+exact: matrices are bucketed by their win masks first, and each distinct
+win mask is evaluated once as an integer weight sum.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .core import (
     DecisionMatrix,
     GameParams,
     ResourceLimitError,
-    config_probability,
     evaluate_matrix,
     score_table,
 )
@@ -122,9 +121,9 @@ def brute_force_optimal(
         partial = [(w | rw, r | rr) for w, r in partial for rw, rr in outcomes]
     win_masks = [(r | rr) & ~(w | rw) for w, r in partial for rw, rr in rows[-1]]
     # exact evaluation happens once per distinct win mask, not per matrix
-    probs = [config_probability(c, params) for c in range(1 << n)]
+    weights = params.weights
     values = {
-        m: sum((probs[c] for c in range(1 << n) if (m >> c) & 1), Fraction(0))
+        m: sum(weights[n - c.bit_count()] for c in range(1 << n) if (m >> c) & 1)
         for m in set(win_masks)
     }
     best = max(values.values())
@@ -134,7 +133,7 @@ def brute_force_optimal(
         for i, m in enumerate(win_masks)
         if m in best_masks
     ]
-    return best, matrices
+    return Fraction(best, params.total_weight), matrices
 
 
 # ---------------------------------------------------------------------------

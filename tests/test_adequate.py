@@ -142,8 +142,12 @@ def test_set_probability_examples():
 
 def test_signature_probability_agrees_with_set_probability():
     params = GameParams(5, P55)
+    q = 1 - P55
     for aset in adequate_sets_cached(5, 7)[:50]:
-        assert signature(aset).probability(params) == set_probability(aset, params)
+        # direct sum of p^z q^(n-z) over the elements, z = white hats
+        direct = sum(P55 ** (5 - e.bit_count()) * q ** e.bit_count() for e in aset)
+        assert signature(aset).probability(params) == direct
+        assert set_probability(aset, params) == direct
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,26 @@ def test_count_optimal_sets_small_n():
     assert count_optimal_sets(4, NINE_TENTHS) == 24
 
 
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(3, 2)])
+def test_optimal_counts_and_classes_refuse_p_outside_unit_interval(p):
+    with pytest.raises(ValueError):
+        count_optimal_sets(5, p)
+    with pytest.raises(ValueError):
+        optimal_signature_classes(5, p)
+    with pytest.raises(ValueError):
+        optimal_signature_classes(5, Sqrt2Num(p))
+
+
+def test_rational_p_matches_its_quadratic_embedding():
+    for n in (2, 3, 4, 5):
+        for k in range(1, 20):
+            p = Fraction(k, 20)
+            assert count_optimal_sets(n, p) == count_optimal_sets(n, Sqrt2Num(p))
+            assert optimal_signature_classes(n, p) == optimal_signature_classes(
+                n, Sqrt2Num(p)
+            )
+
+
 def test_optimal_classes_stable_within_regimes():
     for points, expected in [
         (FIVE_PLAYER_REGIME_POINTS[3], ("024001",)),

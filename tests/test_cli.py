@@ -255,6 +255,23 @@ def test_psi_json(capsys):
     assert payload["points"][1]["psi_exact"] == "3/4"
 
 
+def test_psi_json_exact_values_at_irrational_breakpoints(capsys):
+    code, out, _ = run(
+        capsys,
+        "psi", "--n", "5", "--pmin", "0.25", "--pmax", "0.75", "--steps", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert [(r["p_exact"], r["psi_exact"], r["piece"]) for r in points] == [
+        ("1/4", "865/1024", "1"),
+        ("-1 + 1*sqrt(2)", "-19 + 14*sqrt(2)", "1|2"),
+        ("1/2", "25/32", "2|3"),
+        ("2 - 1*sqrt(2)", "-19 + 14*sqrt(2)", "3|4"),
+        ("3/4", "865/1024", "4"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # dominance, complexity, covering, sweep
 # ---------------------------------------------------------------------------
