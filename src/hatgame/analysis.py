@@ -31,14 +31,14 @@ from .adequate import (
     min_cover_size,
     signature,
 )
-from .core import GameParams, ResourceLimitError
+from .core import GameParams, ResourceLimitError, exact_fraction
 from .polys import (
     Number,
     Poly,
     SQRT2_MINUS_1,
     Sqrt2Num,
     TWO_MINUS_SQRT2,
-    number_sign,
+    _exact,
 )
 
 #: Minimum sizes K(n, 1) of binary covering codes of radius 1 for word
@@ -94,54 +94,24 @@ def dominance(
     """Exact comparison of two loss classes on an open interval.
 
     "always_less" means class a is strictly cheaper (dominates) throughout
-    the interval.  Interval endpoints may be rational or in Q(sqrt 2).
+    the interval.  Interval endpoints may be rational or in Q(sqrt 2);
+    floats are refused.  Each root interval comes from
+    :meth:`Poly.isolate_roots_open` on the interval itself, refined below
+    ``ROOT_WIDTH``; with no root inside, the sign decides.
     """
     if sig_a.n_players != sig_b.n_players:
         raise ValueError("signatures must have equal player counts")
-    lo, hi = interval
+    lo, hi = (_exact(x) for x in interval)
     diff = signature_poly(sig_a) - signature_poly(sig_b)
     if diff.is_zero:
         return DominanceResult("equal")
-    if diff.count_roots_open(lo, hi) == 0:
-        s = diff.sign_on_open_interval(lo, hi)
-        return DominanceResult("always_less" if s < 0 else "always_greater")
-    # interior roots: isolate on a rational cover of the interval, then
-    # keep those strictly inside (lo, hi)
-    lo_r = lo.a - 2 * abs(lo.b) if isinstance(lo, Sqrt2Num) else Fraction(lo)
-    hi_r = hi.a + 2 * abs(hi.b) if isinstance(hi, Sqrt2Num) else Fraction(hi)
-    lo_q = lo if isinstance(lo, Sqrt2Num) else Sqrt2Num(Fraction(lo))
-    hi_q = hi if isinstance(hi, Sqrt2Num) else Sqrt2Num(Fraction(hi))
-    roots = []
-    for a, b in diff.isolate_roots_open(lo_r, hi_r):
-        if a != b:
-            a, b = diff.refine_root(a, b, ROOT_WIDTH)
-        # decide exactly whether the bracketed root lies strictly inside
-        # (lo, hi); brackets straddling an endpoint that is not itself a
-        # root are refined until they separate from it
-        while True:
-            if a == b:
-                if lo_q < Sqrt2Num(a) < hi_q:
-                    roots.append((a, b))
-                break
-            if lo_q < Sqrt2Num(a) and Sqrt2Num(b) < hi_q:
-                roots.append((a, b))
-                break
-            if Sqrt2Num(b) <= lo_q or hi_q <= Sqrt2Num(a):
-                break
-            straddled_root = False
-            for endpoint in (lo_q, hi_q):
-                if Sqrt2Num(a) <= endpoint <= Sqrt2Num(b) and number_sign(
-                    diff(endpoint)
-                ) == 0:
-                    straddled_root = True  # the bracketed root IS the endpoint
-            if straddled_root:
-                break
-            a, b = diff.refine_root(a, b, (b - a) / 4)
-    assert len(roots) == diff.count_roots_open(lo, hi)
-    if not roots:
-        s = diff.sign_on_open_interval(lo, hi)
-        return DominanceResult("always_less" if s < 0 else "always_greater")
-    return DominanceResult("crossing", tuple(roots))
+    roots = tuple(
+        diff.refine_root(a, b, ROOT_WIDTH) for a, b in diff.isolate_roots_open(lo, hi)
+    )
+    if roots:
+        return DominanceResult("crossing", roots)
+    s = diff.sign_on_open_interval(lo, hi)
+    return DominanceResult("always_less" if s < 0 else "always_greater")
 
 
 @dataclass(frozen=True)
@@ -258,14 +228,13 @@ class PiecewisePsi:
 
     def piece_index(self, p: Number) -> int:
         """Index of the piece whose closed interval contains p (the
-        leftmost one at interior breakpoints)."""
-        x = p if isinstance(p, Sqrt2Num) else Sqrt2Num(Fraction(p))
-        if not self.breakpoints[0] < x < self.breakpoints[-1]:
+        leftmost one at interior breakpoints): one bisection of the
+        breakpoints, which order against a rational p directly.  Floats
+        are refused."""
+        p = _exact(p)
+        if not self.breakpoints[0] < p < self.breakpoints[-1]:
             raise ValueError("p must lie strictly between 0 and 1")
-        for k in range(len(self.pieces)):
-            if x <= self.breakpoints[k + 1]:
-                return k
-        raise AssertionError("unreachable")
+        return bisect.bisect_left(self.breakpoints, p) - 1
 
     def __call__(self, p: Number):
         return self.pieces[self.piece_index(p)](p)
@@ -340,7 +309,7 @@ def psi_curve(
 ) -> list[CurveRow]:
     """Evaluate the closed form on an equally spaced rational grid,
     inserting rows for interior breakpoints that fall inside the range."""
-    p_min, p_max = Fraction(p_min), Fraction(p_max)
+    p_min, p_max = exact_fraction(p_min), exact_fraction(p_max)
     if not (0 < p_min < p_max < 1):
         raise ValueError("need 0 < p_min < p_max < 1")
     if steps < 1:
@@ -353,9 +322,9 @@ def psi_curve(
         rows.append(CurveRow(p, psi.pieces[i](p), str(i + 1)))
     # a breakpoint replaces the grid row it coincides with, else slots in
     for bp in psi.interior_breakpoints():
-        if Sqrt2Num(p_min) <= bp <= Sqrt2Num(p_max):
+        if p_min <= bp <= p_max:
             k = psi.piece_index(bp)
-            label = "%d|%d" % (k + 1, k + 2) if bp < Sqrt2Num(p_max) else str(k + 1)
+            label = "%d|%d" % (k + 1, k + 2) if bp < p_max else str(k + 1)
             row = CurveRow(bp, psi.pieces[k](bp), label, True)
             at = bisect.bisect_left(rows, bp, key=lambda r: r.p)
             if at < len(rows) and rows[at].p == bp:
@@ -392,8 +361,8 @@ def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, int]]:
     """The minimum-size loss classes of least probability at ``p``, with
     their numbers of sets.  Each class's loss polynomial is evaluated at p
     as given: a rational p in Fraction arithmetic, a quadratic one in
-    Q(sqrt 2)."""
-    x = p if isinstance(p, Sqrt2Num) else Fraction(p)
+    Q(sqrt 2).  Floats are refused."""
+    x = _exact(p)
     if not 0 < x < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     values = [

@@ -7,12 +7,18 @@ with rational coefficients, sometimes at quadratic-irrational points.
 This module supplies the two primitives those proofs need:
 
 * :class:`Poly` - dense rational-coefficient polynomials with Sturm-chain
-  root counting, isolation and bisection refinement.  Endpoints of the
-  intervals may be rational or quadratic (``Sqrt2Num``), so strict sign
-  claims on intervals like (1/2, 2 - sqrt 2) are decided exactly.
+  root counting, isolation and bisection refinement.  Interval endpoints
+  may be rational or quadratic (``Sqrt2Num``), so strict sign claims on
+  intervals like (1/2, 2 - sqrt 2) are decided exactly; isolation builds
+  one Sturm chain per call and always returns intervals with rational
+  ends.
 * :class:`Sqrt2Num` - numbers a + b*sqrt(2) with rational a, b.  Ordering
-  is exact (no floating point): the sign of a + b*sqrt(2) is determined by
-  comparing a^2 with 2 b^2.
+  is exact (no floating point): one sign test on (a, b), which compares
+  a^2 with 2 b^2 when the terms have opposite signs, serves ``sign()`` and
+  every comparison, and an ``int`` or ``Fraction`` is compared as it is.
+
+Floats are refused as coefficients, components and interval endpoints: a
+binary float is not the rational it was typed as.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from .core import exact_fraction
 
 
 @dataclass(frozen=True)
@@ -30,8 +38,8 @@ class Sqrt2Num:
     b: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", exact_fraction(self.a))
+        object.__setattr__(self, "b", exact_fraction(self.b))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -77,56 +85,20 @@ class Sqrt2Num:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # 1/(a + b sqrt2) = (a - b sqrt2)/(a^2 - 2 b^2)
-        norm = other.a * other.a - 2 * other.b * other.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        inv = Sqrt2Num(other.a / norm, -other.b / norm)
-        return self * inv
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = Sqrt2Num(Fraction(1))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- exact ordering -----------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare |a| with |b| sqrt2 via squares
-        if a * a == 2 * b * b:
-            return 0
-        if a > 0:  # b < 0: positive iff a > |b| sqrt2
-            return 1 if a * a > 2 * b * b else -1
-        # a < 0, b > 0: positive iff b sqrt2 > |a|
-        return 1 if 2 * b * b > a * a else -1
+        return _sign(self.a, self.b)
 
-    def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign()
+    def _cmp(self, other):
+        """Sign of self - other; a rational other is compared as it is,
+        without building a Sqrt2Num."""
+        if isinstance(other, Sqrt2Num):
+            return _sign(self.a - other.a, self.b - other.b)
+        if isinstance(other, (int, Fraction)):
+            return _sign(self.a - other, self.b)
+        return NotImplemented
 
     def __eq__(self, other):
         c = self._cmp(other)
@@ -179,6 +151,19 @@ class Sqrt2Num:
         return "%s %s %s*sqrt(2)" % (self.a, op, abs(self.b))
 
 
+def _sign(a: Fraction, b: Fraction) -> int:
+    """Exact sign of a + b*sqrt(2) for rational a, b."""
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: the term with the larger square wins (a^2 = 2 b^2
+    # has no rational solution besides 0)
+    return sa if a * a > 2 * b * b else sb
+
+
 #: sqrt(2) - 1 and 2 - sqrt(2): the two irrational breakpoints of the
 #: five-player win-probability curve.
 SQRT2 = Sqrt2Num(0, 1)
@@ -201,7 +186,7 @@ class Poly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
+        cs = [exact_fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -210,11 +195,11 @@ class Poly:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "Poly":
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(tuple(coeffs))
 
     @classmethod
     def constant(cls, c) -> "Poly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def x(cls) -> "Poly":
@@ -356,44 +341,38 @@ class Poly:
         chain.pop()
         return tuple(chain)
 
-    @staticmethod
-    def _variations(chain: Sequence["Poly"], x: Number) -> int:
-        signs = [number_sign(f(x)) for f in chain]
-        signs = [s for s in signs if s != 0]
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    def _sturm_on(self, lo: Number, hi: Number) -> tuple:
+        """(Sturm chain, lo, hi), the interval made exact and checked."""
+        lo, hi = _exact(lo), _exact(hi)
+        if not lo < hi:
+            raise ValueError("need lo < hi")
+        if self.is_zero:
+            raise ValueError("the zero polynomial has no root count")
+        return self.sturm_chain(), lo, hi
 
     def count_roots_open(self, lo: Number, hi: Number) -> int:
         """Number of distinct real roots in the open interval (lo, hi).
 
-        Endpoints may be Fraction or Sqrt2Num; both are handled exactly.
+        Endpoints may be rational or Sqrt2Num; both are handled exactly.
         """
-        if number_sign(hi - lo) <= 0:
-            raise ValueError("need lo < hi")
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no root count")
-        chain = self.sturm_chain()
-        f = chain[0]
-        # Sturm counts roots in (lo, hi]; drop hi if it is a root itself.
-        count = self._variations(chain, lo) - self._variations(chain, hi)
-        if number_sign(f(hi)) == 0:
-            count -= 1
-        return count
+        return _count_open(*self._sturm_on(lo, hi))
 
     def isolate_roots_open(
-        self, lo: Fraction, hi: Fraction
+        self, lo: Number, hi: Number
     ) -> list[tuple[Fraction, Fraction]]:
-        """Disjoint rational intervals, one per distinct root in (lo, hi).
+        """Disjoint rational intervals, one per distinct root in (lo, hi),
+        in ascending order.
 
-        Exact rational roots are returned as degenerate intervals (r, r).
-        Non-degenerate intervals are normalized so that neither endpoint is
-        itself a root, which makes them directly usable by
-        :meth:`refine_root`.
+        Endpoints may be rational or Sqrt2Num.  One Sturm chain counts the
+        roots of every subinterval.  An interval is split at
+        :func:`_rational_inside` (its midpoint when both ends are rational)
+        until it holds one root and has rational ends.  Exact rational roots
+        are returned as degenerate intervals (r, r).  Non-degenerate
+        intervals are normalized so that neither endpoint is itself a root,
+        which makes them directly usable by :meth:`refine_root`.
         """
-        lo, hi = Fraction(lo), Fraction(hi)
-        total = self.count_roots_open(lo, hi)
-        if total == 0:
-            return []
-        sf = self.squarefree_part()
+        chain, lo, hi = self._sturm_on(lo, hi)
+        sf = chain[0]
         out: list[tuple[Fraction, Fraction]] = []
 
         def shrink(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
@@ -401,35 +380,33 @@ class Poly:
             # without losing it
             while sf(a) == 0:
                 step = (b - a) / 2
-                while self.count_roots_open(a + step, b) != 1:
+                while _count_open(chain, a + step, b) != 1:
                     step /= 2
                 a = a + step
             while sf(b) == 0:
                 step = (b - a) / 2
-                while self.count_roots_open(a, b - step) != 1:
+                while _count_open(chain, a, b - step) != 1:
                     step /= 2
                 b = b - step
             return a, b
 
-        def recurse(a: Fraction, b: Fraction, k: int) -> None:
+        def recurse(a: Number, b: Number, k: int) -> None:
             if k == 0:
                 return
-            if k == 1:
+            # only lo and hi can be irrational, and then they are Sqrt2Num
+            rational = not isinstance(a, Sqrt2Num) and not isinstance(b, Sqrt2Num)
+            if k == 1 and rational:
                 out.append(shrink(a, b))
                 return
-            mid = (a + b) / 2
+            mid = _rational_inside(a, b)
+            left = _count_open(chain, a, mid)
+            recurse(a, mid, left)
             if sf(mid) == 0:
-                left = self.count_roots_open(a, mid)
-                recurse(a, mid, left)
                 out.append((mid, mid))
-                recurse(mid, b, k - left - 1)
-            else:
-                left = self.count_roots_open(a, mid)
-                recurse(a, mid, left)
-                recurse(mid, b, k - left)
+                left += 1
+            recurse(mid, b, k - left)
 
-        recurse(lo, hi, total)
-        out.sort()
+        recurse(lo, hi, _count_open(chain, lo, hi))
         return out
 
     def refine_root(
@@ -441,7 +418,7 @@ class Poly:
         squarefree part changes sign across it (always true for an interval
         produced by :meth:`isolate_roots_open` with non-root endpoints).
         """
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = exact_fraction(lo), exact_fraction(hi)
         if lo == hi:
             return lo, hi
         sf = self.squarefree_part()
@@ -494,26 +471,44 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _exact(x) -> Number:
+    """x as an exact number: a Fraction when rational, else the Sqrt2Num
+    itself.  Floats are refused (see :func:`hatgame.core.exact_fraction`)."""
+    if isinstance(x, Sqrt2Num):
+        return x if x.b else x.a
+    return exact_fraction(x)
+
+
+def _count_open(chain: Sequence[Poly], lo: Number, hi: Number) -> int:
+    """Distinct roots of chain[0] in the open interval (lo, hi), counted on
+    its Sturm chain."""
+
+    def variations(signs: list[int]) -> int:
+        signs = [s for s in signs if s != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    at_lo = [number_sign(f(lo)) for f in chain]
+    at_hi = [number_sign(f(hi)) for f in chain]
+    # Sturm counts roots in (lo, hi]; drop hi if it is a root itself
+    return variations(at_lo) - variations(at_hi) - (at_hi[0] == 0)
+
+
 def _rational_inside(lo: Number, hi: Number) -> Fraction:
-    """Some exact rational strictly between lo and hi."""
-    lo_s = lo if isinstance(lo, Sqrt2Num) else Sqrt2Num(Fraction(lo))
-    hi_s = hi if isinstance(hi, Sqrt2Num) else Sqrt2Num(Fraction(hi))
-    if lo_s.is_rational and hi_s.is_rational:
-        return (lo_s.as_fraction() + hi_s.as_fraction()) / 2
-    # binary search on denominators: halve an enclosing rational bracket
-    # until its midpoint falls strictly inside (lo, hi)
-    a = lo_s.a - abs(lo_s.b) * 2  # rational below lo: a + b*sqrt2 >= a - 2|b|
-    b = hi_s.a + abs(hi_s.b) * 2
-    for _ in range(200):
+    """Some exact rational strictly between lo < hi: their midpoint when
+    both are rational, else the first midpoint of a halved rational
+    bracket of them that falls strictly inside."""
+    lo, hi = _exact(lo), _exact(hi)
+    # a + b sqrt2 lies in [a - 2|b|, a + 2|b|]
+    a = lo if isinstance(lo, Fraction) else lo.a - 2 * abs(lo.b)
+    b = hi if isinstance(hi, Fraction) else hi.a + 2 * abs(hi.b)
+    while True:
         mid = (a + b) / 2
-        mid_s = Sqrt2Num(mid)
-        if lo_s < mid_s < hi_s:
+        if lo < mid < hi:
             return mid
-        if mid_s <= lo_s:
+        if mid <= lo:
             a = mid
         else:
             b = mid
-    raise RuntimeError("failed to find a rational inside the interval")
 
 
 def decimal_str(value, significant: int = 12) -> str:

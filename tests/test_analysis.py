@@ -120,6 +120,59 @@ def test_dominance_on_subregimes():
     assert dominance(*pair, interval=(Fraction(1, 2), TWO_MINUS_SQRT2)).relation == "always_greater"
 
 
+def test_dominance_with_a_quadratic_endpoint():
+    # the difference is p^2 (2p - 1)(p^2 - 4p + 2): on (sqrt2 - 1, 1) it
+    # vanishes at the rational 1/2 and at 2 - sqrt2
+    a, b = sig("022210"), sig("024001")
+    diff = signature_poly(a) - signature_poly(b)
+    assert diff == P**2 * (2 * P - 1) * Poly.from_coeffs([2, -4, 1])
+    result = dominance(a, b, (SQRT2_MINUS_1, Fraction(1)))
+    assert result.relation == "crossing"
+    exact, (lo, hi) = result.roots
+    assert exact == (HALF, HALF)
+    assert lo < TWO_MINUS_SQRT2 < hi and hi - lo < Fraction(1, 10**12)
+
+
+#: The pairs of five-player classes that cross twice on
+#: (sqrt2 - 1, 2 - sqrt2); every other pair crosses once, at p = 1/2, where
+#: all minimum-size sets lose the same.
+TWO_ROOT_PAIRS = {(0, 7), (1, 11), (4, 7), (5, 11)}
+
+
+@pytest.mark.parametrize(
+    "interval, n_edges, root_counts",
+    [
+        (
+            (SQRT2_MINUS_1, TWO_MINUS_SQRT2),
+            0,
+            {
+                (i, j): 2 if (i, j) in TWO_ROOT_PAIRS else 1
+                for i in range(12)
+                for j in range(i + 1, 12)
+            },
+        ),
+        ((SQRT2_MINUS_1, HALF), 64, {(0, 7): 1, (1, 11): 1}),
+    ],
+    ids=["sqrt2-1..2-sqrt2", "sqrt2-1..1/2"],
+)
+def test_dominance_graph_on_quadratic_intervals(interval, n_edges, root_counts):
+    lo, hi = interval
+    g = dominance_graph(5, interval)
+    assert len(g.edges) == n_edges
+    assert {(i, j): len(roots) for i, j, roots in g.crossings} == root_counts
+    for i, j, roots in g.crossings:
+        diff = signature_poly(g.nodes[i]) - signature_poly(g.nodes[j])
+        assert len(roots) == diff.count_roots_open(lo, hi)
+        for a, b in roots:
+            # strictly inside, and each interval isolates one root
+            assert lo < a <= b < hi
+            if a == b:
+                assert diff(a) == 0
+            else:
+                assert diff(a) != 0 and diff(b) != 0
+                assert diff.count_roots_open(a, b) == 1
+
+
 def test_dominance_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         dominance(sig("0110"), sig("022210"))
@@ -413,6 +466,32 @@ def test_optimal_classes_stable_within_regimes():
         s.compact() for s in optimal_signature_classes(5, TWO_MINUS_SQRT2)
     )
     assert labels == ("022210", "024001")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: psi_closed_form(5)(0.3),
+        lambda: psi_closed_form(5).piece_index(0.3),
+        lambda: psi_curve(5, 0.1, 0.9, 4),
+        lambda: count_optimal_sets(5, float(TWO_MINUS_SQRT2)),
+        lambda: optimal_signature_classes(5, 0.3),
+        lambda: dominance(sig("022210"), sig("024001"), (0.5, 1.0)),
+    ],
+    ids=[
+        "psi",
+        "piece_index",
+        "psi_curve",
+        "count_optimal_sets",
+        "optimal_signature_classes",
+        "dominance",
+    ],
+)
+def test_floats_are_refused(call):
+    # a float p is a binary approximation: 0.3 is not 3/10, and the float
+    # of 2 - sqrt2 misses the threshold where 40 sets tie
+    with pytest.raises(TypeError, match="inexact float"):
+        call()
 
 
 # ---------------------------------------------------------------------------

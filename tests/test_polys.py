@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as hst
 
 from hatgame.polys import (
     Poly,
@@ -25,7 +26,6 @@ def F(a, b=1):
 
 def test_sqrt2_squares_to_two():
     assert SQRT2 * SQRT2 == Sqrt2Num(2)
-    assert SQRT2**2 == Sqrt2Num(2)
 
 
 def test_breakpoint_identities():
@@ -50,14 +50,26 @@ def test_exact_ordering():
     ]
 
 
-def test_division_and_sign():
+def test_sign_of_opposite_terms():
     assert Sqrt2Num(F(3), F(-2)).sign() == 1  # 3 - 2 sqrt2 ~ 0.17
-    x = Sqrt2Num(F(4), F(-3))  # 4 - 3 sqrt2 ~ -0.24
-    assert x.sign() == -1
-    assert (x / x) == Sqrt2Num(1)
-    assert (Sqrt2Num(1) / SQRT2) * SQRT2 == Sqrt2Num(1)
-    with pytest.raises(ZeroDivisionError):
-        Sqrt2Num(1) / Sqrt2Num(0)
+    assert Sqrt2Num(F(4), F(-3)).sign() == -1  # 4 - 3 sqrt2 ~ -0.24
+    assert Sqrt2Num(F(-3), F(2)).sign() == -1
+    assert Sqrt2Num(F(-4), F(3)).sign() == 1
+
+
+rationals = hst.fractions(min_value=-20, max_value=20, max_denominator=50)
+
+
+@given(rationals, rationals, rationals)
+def test_rational_comparison_matches_embedding(a, b, r):
+    # a rational is compared with a + b sqrt2 directly; the answer must be
+    # the one its embedding Sqrt2Num(r) gives, on either side
+    x, boxed = Sqrt2Num(a, b), Sqrt2Num(r)
+    assert (x < r) == (x < boxed) and (r < x) == (boxed < x)
+    assert (x <= r) == (x <= boxed) and (r <= x) == (boxed <= x)
+    assert (x == r) == (x == boxed) and (r == x) == (boxed == x)
+    assert (x > r) == (x > boxed) and (r > x) == (boxed > x)
+    assert (x < r) == ((x - boxed).sign() < 0)
 
 
 def test_rational_interop():
@@ -67,6 +79,23 @@ def test_rational_interop():
     with pytest.raises(ValueError):
         SQRT2.as_fraction()
     assert Sqrt2Num(F(1, 3)) + F(2, 3) == Sqrt2Num(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Sqrt2Num(0.1),
+        lambda: Sqrt2Num(1, 0.5),
+        lambda: Poly.from_coeffs([1, 0.1]),
+        lambda: Poly.constant(0.1),
+        lambda: Poly.x().count_roots_open(0.0, 1),
+        lambda: Poly.x().isolate_roots_open(-1, 0.5),
+    ],
+    ids=["a", "b", "coeffs", "constant", "count", "isolate"],
+)
+def test_floats_are_refused(build):
+    with pytest.raises(TypeError, match="inexact float"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +183,21 @@ def test_isolate_roots():
     q = (x - 1) * (x - 3)
     ivs = q.isolate_roots_open(F(0), F(4))
     assert len(ivs) == 2
+
+
+def test_isolate_roots_with_quadratic_endpoints():
+    # x^2 - 4x + 2 has the roots 2 - sqrt2 ~ 0.586 and 2 + sqrt2 ~ 3.414
+    p = Poly.from_coeffs([2, -4, 1])
+    both = p.isolate_roots_open(SQRT2_MINUS_1, F(4))
+    assert len(both) == 2
+    for (lo, hi), root in zip(both, (TWO_MINUS_SQRT2, 2 + SQRT2)):
+        assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+        assert SQRT2_MINUS_1 < lo < root < hi <= 4
+        assert p(lo) != 0 and p(hi) != 0
+    # an endpoint that is a root is excluded: only 2 + sqrt2 is left
+    ((lo, hi),) = p.isolate_roots_open(TWO_MINUS_SQRT2, F(4))
+    assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+    assert TWO_MINUS_SQRT2 < lo < 2 + SQRT2 < hi <= 4
 
 
 def test_refine_root_width():
