@@ -39,6 +39,8 @@ from .polys import (
     Sqrt2Num,
     TWO_MINUS_SQRT2,
     _exact,
+    _rational_inside,
+    number_sign,
 )
 
 #: Minimum sizes K(n, 1) of binary covering codes of radius 1 for word
@@ -97,7 +99,9 @@ def dominance(
     the interval.  Interval endpoints may be rational or in Q(sqrt 2);
     floats are refused.  Each root interval comes from
     :meth:`Poly.isolate_roots_open` on the interval itself, refined below
-    ``ROOT_WIDTH``; with no root inside, the sign decides.
+    ``ROOT_WIDTH``.  With no root inside, the sign of the difference at one
+    rational point of the interval decides, so each call builds one Sturm
+    chain.
     """
     if sig_a.n_players != sig_b.n_players:
         raise ValueError("signatures must have equal player counts")
@@ -110,7 +114,7 @@ def dominance(
     )
     if roots:
         return DominanceResult("crossing", roots)
-    s = diff.sign_on_open_interval(lo, hi)
+    s = number_sign(diff(_rational_inside(lo, hi)))
     return DominanceResult("always_less" if s < 0 else "always_greater")
 
 
@@ -294,8 +298,8 @@ class CurveRow:
     """One psi-curve sample: exact abscissa, exact value, piece label.
 
     Regular grid rows carry the 1-based piece index as their label;
-    breakpoint rows (inserted when a breakpoint falls inside the range, or
-    relabeled when it lands on a grid point) carry "k|k+1".
+    breakpoint rows carry "k|k+1", or "k" when the breakpoint is the last
+    row.
     """
 
     p: Number
@@ -307,30 +311,35 @@ class CurveRow:
 def psi_curve(
     n: int, p_min: Fraction, p_max: Fraction, steps: int
 ) -> list[CurveRow]:
-    """Evaluate the closed form on an equally spaced rational grid,
-    inserting rows for interior breakpoints that fall inside the range."""
+    """Evaluate the closed form on an equally spaced rational grid, with a
+    row for each interior breakpoint in [p_min, p_max].
+
+    One ascending walk over the grid and the breakpoints: the piece of
+    p_min is looked up once, and the piece index advances as the walk
+    passes each breakpoint.  A breakpoint row replaces the grid row it
+    coincides with and is labelled "k|k+1", or "k" when it is p_max.
+    """
     p_min, p_max = exact_fraction(p_min), exact_fraction(p_max)
     if not (0 < p_min < p_max < 1):
         raise ValueError("need 0 < p_min < p_max < 1")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     psi = psi_closed_form(n)
+    bps = psi.breakpoints
+    i = psi.piece_index(p_min)
     rows: list[CurveRow] = []
     for k in range(steps + 1):
         p = p_min + (p_max - p_min) * k / steps
-        i = psi.piece_index(p)
-        rows.append(CurveRow(p, psi.pieces[i](p), str(i + 1)))
-    # a breakpoint replaces the grid row it coincides with, else slots in
-    for bp in psi.interior_breakpoints():
-        if p_min <= bp <= p_max:
-            k = psi.piece_index(bp)
-            label = "%d|%d" % (k + 1, k + 2) if bp < p_max else str(k + 1)
-            row = CurveRow(bp, psi.pieces[k](bp), label, True)
-            at = bisect.bisect_left(rows, bp, key=lambda r: r.p)
-            if at < len(rows) and rows[at].p == bp:
-                rows[at] = row
-            else:
-                rows.insert(at, row)
+        on_breakpoint = False
+        # bps[-1] is 1 > p_max, so the walk never runs off the end
+        while bps[i + 1] <= p:
+            bp = bps[i + 1]
+            label = "%d|%d" % (i + 1, i + 2) if bp < p_max else str(i + 1)
+            rows.append(CurveRow(bp, psi.pieces[i](bp), label, True))
+            on_breakpoint = bp == p
+            i += 1
+        if not on_breakpoint:
+            rows.append(CurveRow(p, psi.pieces[i](p), str(i + 1)))
     return rows
 
 

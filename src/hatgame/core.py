@@ -218,14 +218,6 @@ class DecisionMatrix:
     def n_players(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_scores(self) -> int:
-        return 1 << (self.n_players - 1)
-
-    def entry(self, player: int, score_value: int) -> int:
-        """Decision of 1-based ``player`` at ``score_value``."""
-        return self.rows[player - 1][score_value]
-
     def free_cells(self) -> tuple[tuple[int, int], ...]:
         """(player, score) positions holding FREE, row-major order."""
         return tuple(
@@ -298,25 +290,22 @@ def all_pass_matrix(n: int) -> DecisionMatrix:
     return DecisionMatrix(tuple(tuple([PASS] * (1 << (n - 1))) for _ in range(n)))
 
 
-def wins(matrix: DecisionMatrix, code: int, free_as: int = PASS) -> bool:
+def wins(matrix: DecisionMatrix, code: int) -> bool:
     """Does the team win on configuration ``code``?
 
     The team wins iff every player's decision is either a pass or the
-    correct guess for their own hat, and not everyone passes.  FREE cells
-    are read as ``free_as`` (pass by default).
+    correct guess for their own hat, and not everyone passes.  A FREE cell
+    always reads as a pass; to try another fill, evaluate
+    :meth:`DecisionMatrix.substitute_free` of it.
     """
     n = matrix.n_players
     _check_config(code, n)
-    if free_as not in CONCRETE_DECISIONS:
-        raise ValueError("free_as must be a concrete decision, got %r" % (free_as,))
     scores = score_table(n)[code]
     rows = matrix.rows
     someone_guessed = False
     for i in range(n):
         d = rows[i][scores[i]]
-        if d == FREE:
-            d = free_as
-        if d == PASS:
+        if d == PASS or d == FREE:
             continue
         # correct guess for bit b is 1 - 2b: +1 on white (0), -1 on black (1)
         if d != 1 - 2 * ((code >> (n - 1 - i)) & 1):
@@ -325,15 +314,13 @@ def wins(matrix: DecisionMatrix, code: int, free_as: int = PASS) -> bool:
     return someone_guessed
 
 
-def losing_configs(matrix: DecisionMatrix, free_as: int = PASS) -> tuple[int, ...]:
+def losing_configs(matrix: DecisionMatrix) -> tuple[int, ...]:
     """All configurations the matrix loses on, ascending."""
     n = matrix.n_players
-    return tuple(c for c in range(1 << n) if not wins(matrix, c, free_as))
+    return tuple(c for c in range(1 << n) if not wins(matrix, c))
 
 
-def evaluate_matrix(
-    matrix: DecisionMatrix, params: GameParams, free_as: int = PASS
-) -> Fraction:
+def evaluate_matrix(matrix: DecisionMatrix, params: GameParams) -> Fraction:
     """Exact win probability of the strategy encoded by ``matrix``."""
     if params.n_players != matrix.n_players:
         raise ValueError(
@@ -344,6 +331,6 @@ def evaluate_matrix(
     total = sum(
         weights[n - code.bit_count()]
         for code in range(1 << n)
-        if wins(matrix, code, free_as)
+        if wins(matrix, code)
     )
     return Fraction(total, params.total_weight)

@@ -514,52 +514,22 @@ def _rational_inside(lo: Number, hi: Number) -> Fraction:
 def decimal_str(value, significant: int = 12) -> str:
     """Decimal rendering with at most ``significant`` significant digits.
 
-    Fractions with terminating decimal expansions shorter than the limit
-    print exactly (0.09 stays "0.09"); everything else is rounded half-even
-    at the requested number of significant digits.
+    A rational is one ``Decimal`` division at that precision, rounded
+    half-even; a terminating expansion that fits prints exactly (0.09 stays
+    "0.09").  An irrational element of Q(sqrt 2) goes through
+    :func:`_irrational_decimal`.
     """
     if isinstance(value, Sqrt2Num):
-        if value.is_rational:
-            value = value.as_fraction()
-        else:
+        if not value.is_rational:
             return _irrational_decimal(value, significant)
+        value = value.as_fraction()
     value = Fraction(value)
-    if value == 0:
-        return "0"
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    num, den = value.numerator, value.denominator
-    # terminating decimal? den = 2^a 5^b
-    d = den
-    for base in (2, 5):
-        while d % base == 0:
-            d //= base
-    if d == 1:
-        # value = n / 10^exp exactly
-        exp = 0
-        n, dd = num, den
-        while dd % 2 == 0:
-            dd //= 2
-            n *= 5
-            exp += 1
-        while dd % 5 == 0:
-            dd //= 5
-            n *= 2
-            exp += 1
-        if len(str(n).rstrip("0")) <= significant:
-            if exp == 0:
-                return sign + str(n)
-            digits = str(n).rjust(exp + 1, "0")
-            text = digits[:-exp] + "." + digits[-exp:]
-            return sign + text.rstrip("0").rstrip(".")
-    # round half-even to `significant` digits
     from decimal import Decimal, getcontext
 
     ctx = getcontext().copy()
     ctx.prec = significant
-    d_val = ctx.divide(Decimal(num), Decimal(den))
-    text = format(d_val, "f")
-    return sign + text
+    digits = ctx.divide(Decimal(abs(value.numerator)), Decimal(value.denominator))
+    return ("-" if value < 0 else "") + format(digits, "f")
 
 
 def _irrational_decimal(value: Sqrt2Num, significant: int) -> str:

@@ -403,6 +403,52 @@ def test_psi_curve_breakpoint_rows():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "n,p_min,p_max,steps,expected",
+    [
+        # starts on the breakpoint 1/2
+        (5, HALF, Fraction(3, 5), 3, [
+            (Sqrt2Num(HALF), "2|3", True, Sqrt2Num),
+            (Fraction(8, 15), "3", False, Fraction),
+            (Fraction(17, 30), "3", False, Fraction),
+            (TWO_MINUS_SQRT2, "3|4", True, Sqrt2Num),
+            (Fraction(3, 5), "4", False, Fraction),
+        ]),
+        # ends on the breakpoint 1/2
+        (5, Fraction(2, 5), HALF, 3, [
+            (Fraction(2, 5), "1", False, Fraction),
+            (SQRT2_MINUS_1, "1|2", True, Sqrt2Num),
+            (Fraction(13, 30), "2", False, Fraction),
+            (Fraction(7, 15), "2", False, Fraction),
+            (Sqrt2Num(HALF), "2", True, Sqrt2Num),
+        ]),
+        (2, Fraction(1, 10), HALF, 4, [
+            (Fraction(1, 10), "1", False, Fraction),
+            (Fraction(1, 5), "1", False, Fraction),
+            (Fraction(3, 10), "1", False, Fraction),
+            (Fraction(2, 5), "1", False, Fraction),
+            (Sqrt2Num(HALF), "1", True, Sqrt2Num),
+        ]),
+        (2, HALF, NINE_TENTHS, 4, [
+            (Sqrt2Num(HALF), "1|2", True, Sqrt2Num),
+            (Fraction(3, 5), "2", False, Fraction),
+            (Fraction(7, 10), "2", False, Fraction),
+            (Fraction(4, 5), "2", False, Fraction),
+            (NINE_TENTHS, "2", False, Fraction),
+        ]),
+        # the breakpoint falls between the two grid points
+        (2, Fraction(1, 3), Fraction(2, 3), 1, [
+            (Fraction(1, 3), "1", False, Fraction),
+            (Sqrt2Num(HALF), "1|2", True, Sqrt2Num),
+            (Fraction(2, 3), "2", False, Fraction),
+        ]),
+    ],
+)
+def test_psi_curve_edge_rows(n, p_min, p_max, steps, expected):
+    rows = psi_curve(n, p_min, p_max, steps)
+    assert [(r.p, r.piece, r.is_breakpoint, type(r.p)) for r in rows] == expected
+
+
 # ---------------------------------------------------------------------------
 # Optimal-set counting
 # ---------------------------------------------------------------------------

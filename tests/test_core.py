@@ -261,7 +261,7 @@ def test_generated_matrices_free_rule_irrelevant(p):
     for aset in enumerate_adequate(4, 4):
         m = matrix_from_set(aset)
         values = {
-            evaluate_matrix(m, params, free_as=d)
+            evaluate_matrix(m.substitute_free(d), params)
             for d in (GUESS_BLACK, PASS, GUESS_WHITE)
         }
         assert len(values) == 1

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import example, given, strategies as hst
 
 from hatgame.polys import (
     Poly,
@@ -242,6 +242,53 @@ def test_sign_on_open_interval():
 )
 def test_decimal_str(value, expected):
     assert decimal_str(value) == expected
+
+
+def _decimal_oracle(value: Fraction, significant: int) -> str:
+    """Round |value| half-even to ``significant`` digits on integers alone;
+    an exact result drops the trailing zeros after its decimal point."""
+    if value == 0:
+        return "0"
+    a, den = abs(value.numerator), value.denominator
+    # e = floor(log10(a / den))
+    e = len(str(a)) - len(str(den))
+    if a * 10 ** max(0, -e) < den * 10 ** max(0, e):
+        e -= 1
+    k = significant - 1 - e  # digits kept after the decimal point
+    d = den * 10 ** max(0, -k)
+    q, r = divmod(a * 10 ** max(0, k), d)
+    if 2 * r > d or (2 * r == d and q % 2):
+        q += 1
+    if q == 10**significant:
+        q, k = q // 10, k - 1
+    if r == 0:
+        while k > 0 and q % 10 == 0:
+            q, k = q // 10, k - 1
+    if k <= 0:
+        text = str(q * 10**-k)
+    else:
+        digits = str(q).rjust(k + 1, "0")
+        text = digits[:-k] + "." + digits[-k:]
+    return ("-" if value < 0 else "") + text
+
+
+@given(
+    # small numerators make half-way ties, the case half-even decides
+    hst.integers(-999, 999) | hst.integers(-(10**25), 10**25),
+    hst.integers(0, 20),
+    hst.integers(0, 20),
+    hst.sampled_from([1, 3, 7, 9, 11, 221, 999_999]),
+    hst.sampled_from([1, 3, 6, 12, 20]),
+)
+@example(1, 2, 0, 1, 1)  # 0.25 -> 0.2
+@example(-5, 1, 0, 1, 1)  # -2.5 -> -2
+@example(3, 3, 0, 1, 3)  # 0.375 stays exact
+@example(1001, 3, 3, 1, 3)  # 1.001 -> 1.00
+@example(-95, 0, 0, 1, 1)  # -95 -> -100
+def test_decimal_str_matches_integer_oracle(num, twos, fives, odd, significant):
+    # 2^twos 5^fives alone gives a terminating decimal
+    value = Fraction(num, 2**twos * 5**fives * odd)
+    assert decimal_str(value, significant) == _decimal_oracle(value, significant)
 
 
 def test_decimal_str_irrational():
