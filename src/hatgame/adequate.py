@@ -345,26 +345,52 @@ def _cover_search(
     It runs on the integer weights of :attr:`GameParams.weights` (each
     probability scaled by b^n for p = a/b).
 
-    Over all sizes, the search starts from a greedy cover and bounds with
-    the cheapest coverer of the lowest uncovered configuration; all weights
-    are positive, so the optimum is irredundant.  At a fixed size, each
-    finished cover is padded with the cheapest unchosen elements (the best
-    padding of that cover), and the bound adds a counting bound (each
-    element covers at most n+1 configurations) to the cheapest unchosen
-    elements.  The witness is the greedy cover if it ties the optimum,
-    else the first optimum in search order.  Exceeding ``node_budget``
-    raises :class:`ResourceLimitError`.
+    The search always runs at the heavier color: for p < 1/2 it searches
+    at 1 - p and returns the complement (e XOR (2^n - 1)) of that witness,
+    which has the same value and the reversed signature.  Mirrored p thus
+    grow the same tree and give complementary witnesses.
+
+    At the root the lowest uncovered configuration is all-white; its
+    coverers are itself and the n unit vectors, one S_n orbit of equal
+    weight.  Only the first unit vector is branched on, and all of them are
+    banned in the later root branches: a coordinate swap maps any cover in
+    a skipped branch to one of equal weight in the branch taken.
+
+    Over all sizes, the search starts from a greedy cover.  Its bound is
+    the larger of the cheapest coverer of the lowest uncovered
+    configuration and a dual bound: each configuration is priced at its
+    cheapest coverer's weight, and as no element covers more than n+1
+    configurations nor weighs less than their prices, the uncovered prices
+    summed and divided by n+1 (rounded up) bound the cost of the rest.
+    All weights are positive, so the optimum is irredundant.  At a fixed
+    size, each finished cover is padded with the cheapest unchosen elements
+    (the best padding of that cover), and the bound adds a counting bound
+    (each element covers at most n+1 configurations) to the cheapest
+    unchosen elements.  The witness is the greedy cover if it ties the
+    optimum, else the first optimum in search order.  Exceeding
+    ``node_budget`` raises :class:`ResourceLimitError`.
     """
     h = 1 << n
     full = _full_mask(n)
     balls = _balls(n)
-    weights = [params.weights[n - c.bit_count()] for c in range(h)]
+    # searching at 1 - p weighs each element as its complement does at p
+    flip = h - 1 if 2 * params.p_white < 1 else 0
+    weights = [params.weights[n - (c ^ flip).bit_count()] for c in range(h)]
     order = sorted(range(h), key=lambda e: (weights[e], e))
     coverers = [[e for e in order if (balls[c] >> e) & 1] for c in range(h)]
+    units = sum(1 << (1 << k) for k in range(n))
+    per_ball = n + 1
 
     best: int | None = None
     best_set: tuple[int, ...] = ()
     if size is None:
+        # dual prices: each configuration at its cheapest coverer's weight,
+        # one mask of configurations per distinct price
+        price_masks: dict[int, int] = {}
+        for c in range(h):
+            w = weights[coverers[c][0]]
+            price_masks[w] = price_masks.get(w, 0) | 1 << c
+        prices = tuple(price_masks.items())
         # greedy incumbent: repeatedly take the element of least weight per
         # newly covered configuration (scaled by lcm(1..n+1) to stay integral)
         scale = math.lcm(*range(1, n + 2))
@@ -403,11 +429,14 @@ def _cover_search(
         low = (uncovered & -uncovered).bit_length() - 1
         if size is not None:
             left = size - len(chosen)
-            if uncovered.bit_count() > left * (n + 1):
+            if uncovered.bit_count() > left * per_ball:
                 return
         if best is not None:
             if size is None:
-                bound = weights[coverers[low][0]]
+                if weight + weights[coverers[low][0]] >= best:
+                    return
+                dual = sum(w * (uncovered & m).bit_count() for w, m in prices)
+                bound = -(-dual // per_ball)
             else:
                 bound = sum(weights[e] for e in cheapest_unchosen(chosen, left))
             if weight + bound >= best:
@@ -419,12 +448,15 @@ def _cover_search(
                 rec(covered | balls[e], chosen + (e,), weight + weights[e],
                     banned | tried)
                 tried |= 1 << e
+                if e == 1 and not covered:
+                    # the other unit vectors lie in the orbit of 2^0
+                    banned |= units
 
     rec(0, (), 0, 0)
     if best is None:
         return None
     value = Fraction(best, params.total_weight)
-    return AdequateSet(tuple(sorted(best_set)), n), value
+    return AdequateSet(tuple(sorted(e ^ flip for e in best_set)), n), value
 
 
 def min_cover_optimize(
@@ -432,14 +464,21 @@ def min_cover_optimize(
 ) -> tuple[AdequateSet, Fraction]:
     """Adequate set of globally minimum probability, over all sizes, by the
     exact branch and bound of :func:`_cover_search`; the returned optimum
-    is irredundant.
+    is irredundant.  For p < 1/2 the witness is the complement of the one
+    at 1 - p; for p >= 1/2 it is the greedy cover if that ties the optimum,
+    else the first optimum in search order.
 
     ``node_budget`` bounds the search-tree size for best-effort runs on
-    larger n; exceeding it raises :class:`ResourceLimitError`.
+    larger n; exceeding it raises :class:`ResourceLimitError`.  Without a
+    budget, n > 6 is refused with :class:`ResourceLimitError` up front.
     """
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
+    if n > 6 and node_budget is None:
+        raise ResourceLimitError(
+            "unbounded cover search is supported for n <= 6; pass a node_budget"
+        )
     return _cover_search(n, params, node_budget=node_budget)
 
 
@@ -468,7 +507,8 @@ def min_cover_size(n: int) -> int:
 class SweepRow:
     """One row of a size sweep: the best adequate set of exactly ``size``
     elements, found by the branch and bound of :func:`_cover_search`;
-    ``witness`` is the first optimum in its search order."""
+    ``witness`` is the first optimum in its search order at p >= 1/2, and
+    the complement of the witness at 1 - p for p < 1/2."""
 
     size: int
     signature: Signature | None
@@ -482,7 +522,9 @@ def size_sweep(
     params: GameParams,
 ) -> list[SweepRow]:
     """Minimum probability and its signature for each requested set size,
-    each row from the exact-size branch and bound of :func:`_cover_search`.
+    each row from the exact-size branch and bound of :func:`_cover_search`,
+    which runs at the heavier color: the rows at p and 1 - p have equal
+    sums, reversed signatures and complementary witnesses.
 
     Rows whose size admits no adequate set carry ``None`` entries.  For
     n >= 6 the search space is beyond desk scale and the call is refused.

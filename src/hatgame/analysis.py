@@ -285,7 +285,8 @@ def psi_solver(n: int, params: GameParams, node_budget: int | None = 20_000_000)
     1 - (minimum probability over all adequate sets).
 
     Exact and fast for n <= 5; n = 6 is attempted best-effort under a node
-    budget; larger n is refused.
+    budget, which every p = k/20 fits with room to spare; larger n is
+    refused.
     """
     if n > 6:
         raise ResourceLimitError("psi_solver supports n <= 6 (best effort at 6)")

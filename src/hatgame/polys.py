@@ -23,8 +23,10 @@ binary float is not the rational it was typed as.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .core import exact_fraction
@@ -274,8 +276,28 @@ class Poly:
             e >>= 1
         return result
 
+    @cached_property
+    def _integer_coeffs(self) -> tuple[tuple[int, ...], int]:
+        """The coefficients times the lcm of their denominators, and that
+        lcm."""
+        lcm = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
+
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int and Sqrt2Num."""
+        """Horner evaluation; works for Fraction, int and Sqrt2Num.
+
+        A rational x = a/b takes an integer Horner sum
+        sum_j C_j a^j b^(d-j) over the integer coefficients C_j of
+        :attr:`_integer_coeffs`, and one Fraction at the end."""
+        if isinstance(x, (int, Fraction)) and self.coeffs:
+            x = Fraction(x)
+            a, b = x.numerator, x.denominator
+            ints, lcm = self._integer_coeffs
+            acc, bpow = 0, 1
+            for c in reversed(ints):
+                acc = acc * a + c * bpow
+                bpow *= b
+            return Fraction(acc, lcm * (bpow // b))
         result = x * 0  # zero of the right type
         for c in reversed(self.coeffs):
             result = result * x + c

@@ -357,11 +357,12 @@ def test_min_cover_optimize_examples():
 
 
 def test_min_cover_witnesses_are_pinned():
-    # witness and value of the global search at mirrored p: the greedy
-    # incumbent and the search order decide which optimum is reported
+    # witness and value of the global search at mirrored p: for p >= 1/2
+    # the greedy incumbent and the search order decide which optimum is
+    # reported, and the witness at p < 1/2 is the complement of that at 1 - p
     expected = {
-        Fraction(1, 4): ((1, 2, 7, 12, 20, 27, 28), Fraction(159, 1024)),
-        Fraction(2, 5): ((1, 2, 7, 12, 20, 27, 28), Fraction(618, 3125)),
+        Fraction(1, 4): ((2, 4, 7, 9, 17, 25, 30), Fraction(159, 1024)),
+        Fraction(2, 5): ((2, 4, 7, 9, 17, 25, 30), Fraction(618, 3125)),
         HALF: ((0, 1, 2, 15, 23, 27, 28), Fraction(7, 32)),
         Fraction(3, 5): ((1, 6, 14, 22, 24, 27, 29), Fraction(618, 3125)),
         Fraction(3, 4): ((1, 6, 14, 22, 24, 27, 29), Fraction(159, 1024)),
@@ -395,6 +396,33 @@ def test_min_cover_never_beaten_by_fixed_size():
 def test_min_cover_node_budget():
     with pytest.raises(ResourceLimitError):
         min_cover_optimize(5, GameParams(5, NINE_TENTHS), node_budget=3)
+
+
+def test_min_cover_unbounded_refused_beyond_six_players(monkeypatch):
+    # refused before any table is built
+    def no_tables(n):
+        raise AssertionError("built the ball table for n=%d" % n)
+
+    monkeypatch.setattr("hatgame.adequate._balls", no_tables)
+    with pytest.raises(ResourceLimitError):
+        min_cover_optimize(7, GameParams(7, HALF))
+
+
+def test_min_cover_six_players_half_is_a_smallest_code():
+    # at p = 1/2 the cheapest cover is a smallest one: K(6, 1) = 12
+    aset, value = min_cover_optimize(6, GameParams(6, HALF), node_budget=1_500_000)
+    assert aset.size == 12
+    assert value == Fraction(3, 16)
+    assert is_adequate(aset.elements, 6)
+
+
+def test_min_cover_six_players_mirrored_tenths():
+    # the budgets guard the node counts: p = 1/10 used to exceed 30M nodes
+    full = (1 << 6) - 1
+    low = min_cover_optimize(6, GameParams(6, Fraction(1, 10)), node_budget=200_000)
+    high = min_cover_optimize(6, GameParams(6, NINE_TENTHS), node_budget=200_000)
+    assert low[1] == high[1] == Fraction(8119, 100000)
+    assert low[0].elements == tuple(sorted(e ^ full for e in high[0].elements))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +508,7 @@ def test_sweep_exact_size_search_matches_exhaustive():
 
 
 def test_sweep_exact_size_witnesses_are_pinned():
-    # the witnesses at p and 1 - p are not complements of each other
+    # the witness at p < 1/2 is the complement of the witness at 1 - p
     rows = size_sweep(5, (10, 11, 12), GameParams(5, Fraction(3, 5)))
     assert [(r.signature.compact(), r.min_sum, r.witness.elements) for r in rows] == [
         ("142210", Fraction(746, 3125), (1, 6, 14, 15, 22, 23, 24, 27, 29, 31)),
@@ -489,15 +517,41 @@ def test_sweep_exact_size_witnesses_are_pinned():
     ]
     (row,) = size_sweep(5, (10,), GameParams(5, Fraction(2, 5)))
     assert (row.signature.compact(), row.min_sum, row.witness.elements) == (
-        "012241", Fraction(746, 3125), (0, 1, 2, 3, 4, 5, 7, 8, 25, 30)
+        "012241", Fraction(746, 3125), (0, 2, 4, 7, 8, 9, 16, 17, 25, 30)
     )
-    # each witness is the first optimum in search order; the
-    # lexicographically smallest optima are (0, 1, 3, 5, 14) and
-    # (0, 1, 2, 3, 5, 14)
+    # each witness at 9/10 is the first optimum in search order, and the
+    # witness at 1/10 its complement; the lexicographically smallest optima
+    # at 1/10 are (0, 1, 3, 5, 14) and (0, 1, 2, 3, 5, 14)
+    rows = size_sweep(4, (5, 6), GameParams(4, NINE_TENTHS))
+    assert [r.witness.elements for r in rows] == [
+        (1, 3, 12, 14, 15), (1, 3, 7, 11, 12, 15)
+    ]
     rows = size_sweep(4, (5, 6), GameParams(4, Fraction(1, 10)))
     assert [r.witness.elements for r in rows] == [
-        (0, 1, 6, 10, 13), (0, 1, 2, 3, 7, 12)
+        (0, 1, 3, 12, 14), (0, 3, 4, 8, 12, 14)
     ]
+
+
+def test_mirrored_p_give_complementary_witnesses():
+    # the search runs at the heavier color, so p and 1 - p share one tree:
+    # equal values, complementary witnesses, reversed signatures
+    for n in (2, 3, 4, 5):
+        full = (1 << n) - 1
+        sizes = range(1, (1 << n) + 1) if n < 5 else (7, 8, 10)
+        for k in range(1, 10):
+            p, q = GameParams(n, Fraction(k, 20)), GameParams(n, Fraction(20 - k, 20))
+            (a, va), (b, vb) = min_cover_optimize(n, p), min_cover_optimize(n, q)
+            assert va == vb
+            assert a.elements == tuple(sorted(e ^ full for e in b.elements))
+            assert signature(a) == signature(b).reversed()
+            for row_p, row_q in zip(size_sweep(n, sizes, p), size_sweep(n, sizes, q)):
+                assert row_p.min_sum == row_q.min_sum
+                if row_p.witness is None:
+                    assert row_q.witness is None
+                    continue
+                assert row_p.witness.elements == tuple(
+                    sorted(e ^ full for e in row_q.witness.elements))
+                assert row_p.signature == row_q.signature.reversed()
 
 
 def test_sweep_large_sizes_need_branch_and_bound():
