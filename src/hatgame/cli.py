@@ -27,7 +27,6 @@ from .adequate import (
     adequate_sets_cached,
     min_cover_size,
     optimal_sets,
-    set_probability,
     signature,
     size_sweep,
 )
@@ -35,7 +34,6 @@ from .core import (
     DecisionMatrix,
     GameParams,
     ResourceLimitError,
-    count_whites,
     evaluate_matrix,
 )
 from .polys import Number, Sqrt2Num, decimal_str
@@ -111,23 +109,28 @@ def cmd_enumerate(args) -> int:
     n, size = args.n, args.das
     params = GameParams(n, args.p)
     sets = adequate_sets_cached(n, size)
-    records = []
-    for aset in sets:
-        value = set_probability(aset, params)
-        zeros = [count_whites(e, n) for e in aset.elements]
-        records.append((aset.elements, value, zeros))
+    # the signature fixes the value and both of its printed forms
+    sigs = [signature(aset) for aset in sets]
+    sums = {}
+    for sig in set(sigs):
+        value = sig.probability(params)
+        sums[sig] = (value, decimal_str(value), rational_str(value))
+    records = [
+        (aset.elements, sums[sig], [n - e.bit_count() for e in aset.elements])
+        for aset, sig in zip(sets, sigs)
+    ]
     if args.sort == "sum":
-        records.sort(key=lambda r: (r[1], r[0]))
+        records.sort(key=lambda r: (r[1][0], r[0]))
     print("count=%d" % len(records), file=sys.stderr)
     if args.format == "json":
         payload = [
             {
                 "elements": list(elems),
-                "sum": rational_str(value),
-                "sum_decimal": decimal_str(value),
+                "sum": exact,
+                "sum_decimal": dec,
                 "zeros": zeros,
             }
-            for elems, value, zeros in records
+            for elems, (_, dec, exact), zeros in records
         ]
         print(json.dumps({"n": n, "das": size, "count": len(records), "sets": payload}))
         return EXIT_OK
@@ -137,8 +140,8 @@ def cmd_enumerate(args) -> int:
         + ["z%d" % (k + 1) for k in range(size)]
     )
     rows = [
-        list(elems) + [decimal_str(value), rational_str(value)] + zeros
-        for elems, value, zeros in records
+        list(elems) + [dec, exact] + zeros
+        for elems, (_, dec, exact), zeros in records
     ]
     sys.stdout.write(_csv_out(rows, header))
     return EXIT_OK

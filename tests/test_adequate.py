@@ -1,5 +1,6 @@
 """Adequacy oracles, enumeration, signatures and cover optimization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -200,6 +201,29 @@ def test_enumeration_is_lexicographic_and_valid():
     assert len(tuples) == 560
 
 
+@pytest.mark.parametrize(
+    "n,size",
+    [(2, s) for s in range(1, 5)]
+    + [(3, s) for s in range(1, 9)]
+    + [(4, s) for s in range(4, 9)],
+)
+def test_enumeration_matches_score_oracle_filter(n, size):
+    # every size-subset in lexicographic order, kept when the
+    # score-comparison definition accepts it: no search, no ball masks
+    expected = [
+        elems
+        for elems in itertools.combinations(range(1 << n), size)
+        if is_adequate(elems, n)
+    ]
+    assert [a.elements for a in enumerate_adequate(n, size)] == expected
+
+
+def test_enumeration_five_players_size_eight_has_no_repeats():
+    tuples = [a.elements for a in enumerate_adequate(5, 8)]
+    assert len(tuples) == 24340
+    assert len(set(tuples)) == len(tuples)
+
+
 def test_enumeration_refused_for_six_players():
     with pytest.raises(ResourceLimitError):
         list(enumerate_adequate(6, 12))
@@ -208,8 +232,6 @@ def test_enumeration_refused_for_six_players():
 def test_five_element_sets_without_four_element_core():
     # of the 560 five-element sets, exactly 80 contain no adequate
     # four-element subset (they are not one-element extensions)
-    import itertools
-
     four = {a.elements for a in enumerate_adequate(4, 4)}
     fresh = 0
     for aset in enumerate_adequate(4, 5):
