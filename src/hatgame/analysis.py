@@ -243,9 +243,6 @@ class PiecewisePsi:
     def __call__(self, p: Number):
         return self.pieces[self.piece_index(p)](p)
 
-    def interior_breakpoints(self) -> tuple[Sqrt2Num, ...]:
-        return self.breakpoints[1:-1]
-
 
 @lru_cache(maxsize=8)
 def psi_closed_form(n: int) -> PiecewisePsi:

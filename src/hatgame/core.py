@@ -15,6 +15,13 @@ guess white (+1).  A fourth marker (``FREE``, printed ``*``, numeric 3)
 denotes matrix cells whose value provably cannot matter; it appears only in
 synthesized matrices, never in hand-written strategies.
 
+A *cell* is one (player, score) position of the matrix.  Exactly two
+configurations show that player that score, one where the player's own hat
+is white and one where it is black; they are the cell's *counterparts*.  A
+guess in the cell is right on one counterpart and wrong on the other, and
+that rule (:func:`_outcome`) is all a strategy computation needs to know
+of the game: who wins where follows from it cell by cell.
+
 All probabilities are exact.  For p = a/b a configuration with z white
 hats weighs the integer a^z (b-a)^(N-z), its probability times b^N, so
 every loss is an integer sum and becomes a `fractions.Fraction` only on
@@ -178,6 +185,43 @@ def score_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(score_vector(code, n) for code in range(1 << n))
 
 
+@lru_cache(maxsize=32)
+def _cells(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The counterparts of every cell: ``_cells(n)[i][s]`` is the pair
+    (white, black) of configurations in which player i+1 sees score s,
+    built by inserting the player's hat bit into s.  Cached per n."""
+    out = []
+    for k in range(n - 1, -1, -1):  # bit k is player n-k's hat
+        # the bits of s from k up move one place up; bit k is left white
+        whites = [s + (s >> k << k) for s in range(1 << (n - 1))]
+        out.append(tuple((w, w | 1 << k) for w in whites))
+    return tuple(out)
+
+
+def _outcome(d: int, white: int, black: int) -> tuple[int, int] | None:
+    """The configurations (wrong, right) of decision ``d`` in the cell with
+    counterparts ``white`` and ``black``; None for a pass or FREE."""
+    if d == GUESS_WHITE:
+        return black, white
+    if d == GUESS_BLACK:
+        return white, black
+    return None
+
+
+def _guess_masks(rows, cells) -> tuple[int, int]:
+    """Bit masks of the configurations where some guess of ``rows`` is
+    wrong and where some guess is right, ``cells`` holding each row's
+    counterparts (rows of :func:`_cells`)."""
+    wrong = right = 0
+    for row, row_cells in zip(rows, cells):
+        for d, (white, black) in zip(row, row_cells):
+            outcome = _outcome(d, white, black)
+            if outcome is not None:
+                wrong |= 1 << outcome[0]
+                right |= 1 << outcome[1]
+    return wrong, right
+
+
 def config_probability(code: int, params: GameParams) -> Fraction:
     """Probability p^z q^(N-z) of a configuration with z white hats."""
     z = count_whites(code, params.n_players)
@@ -300,15 +344,14 @@ def wins(matrix: DecisionMatrix, code: int) -> bool:
     """
     n = matrix.n_players
     _check_config(code, n)
-    scores = score_table(n)[code]
-    rows = matrix.rows
     someone_guessed = False
-    for i in range(n):
-        d = rows[i][scores[i]]
-        if d == PASS or d == FREE:
+    for i, (row, row_cells) in enumerate(zip(matrix.rows, _cells(n))):
+        k = n - 1 - i  # the player's bit; the score is code without it
+        s = code >> (k + 1) << k | code & ((1 << k) - 1)
+        outcome = _outcome(row[s], *row_cells[s])
+        if outcome is None:
             continue
-        # correct guess for bit b is 1 - 2b: +1 on white (0), -1 on black (1)
-        if d != 1 - 2 * ((code >> (n - 1 - i)) & 1):
+        if outcome[0] == code:
             return False
         someone_guessed = True
     return someone_guessed
@@ -317,7 +360,8 @@ def wins(matrix: DecisionMatrix, code: int) -> bool:
 def losing_configs(matrix: DecisionMatrix) -> tuple[int, ...]:
     """All configurations the matrix loses on, ascending."""
     n = matrix.n_players
-    return tuple(c for c in range(1 << n) if not wins(matrix, c))
+    wrong, right = _guess_masks(matrix.rows, _cells(n))
+    return tuple(c for c in range(1 << n) if wrong >> c & 1 or not right >> c & 1)
 
 
 def evaluate_matrix(matrix: DecisionMatrix, params: GameParams) -> Fraction:
@@ -328,9 +372,11 @@ def evaluate_matrix(matrix: DecisionMatrix, params: GameParams) -> Fraction:
             % (matrix.n_players, params.n_players)
         )
     n, weights = params.n_players, params.weights
+    wrong, right = _guess_masks(matrix.rows, _cells(n))
+    won = right & ~wrong
     total = sum(
         weights[n - code.bit_count()]
         for code in range(1 << n)
-        if wins(matrix, code)
+        if won >> code & 1
     )
     return Fraction(total, params.total_weight)

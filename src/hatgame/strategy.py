@@ -1,19 +1,21 @@
 """Decision-matrix synthesis and brute-force strategy search.
 
-An adequate set A induces a strategy that loses exactly on A: start from
-the all-pass matrix and, for every element, make each player's entry at
-the score they see in that configuration the *wrong* guess for their hat
-there (bit b maps to guess 2b - 1).  Two elements write the same cell only
-when they are counterparts (they differ in that player's bit alone), and
-then they write opposite guesses; such cells are provably unconstrained
-and are marked FREE.
+Every computation here walks the cells of the matrix and their two
+counterpart configurations (see :mod:`hatgame.core`), and asks the one
+guess rule of ``core._outcome`` which counterpart a decision wins or
+loses.
+
+An adequate set A induces a strategy that loses exactly on A: each cell
+with one counterpart in A guesses wrong there, a cell with both in A is
+provably unconstrained and marked FREE, and every other cell passes.
 
 The other direction is brute force: for two and three players the full
 strategy space (3^4 resp. 3^12 matrices) is searched outright, giving an
 oracle completely independent of the covering-set machinery.  The search
 runs on integer configuration masks, and all probability comparisons stay
 exact: matrices are bucketed by their win masks first, and each distinct
-win mask is evaluated once as an integer weight sum.
+win mask is evaluated once as an integer weight sum.  The same masks drive
+the backtracking of :func:`all_matrices_for_set`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .core import (
     DecisionMatrix,
     GameParams,
     ResourceLimitError,
+    _cells,
+    _guess_masks,
+    _outcome,
     evaluate_matrix,
     score_table,
 )
@@ -39,24 +44,24 @@ from .adequate import AdequateSet
 def matrix_from_set(aset: AdequateSet) -> DecisionMatrix:
     """Decision matrix that loses exactly on the given adequate set.
 
-    For every element with bits b and scores s, cell (i, s_i) receives the
-    guess 2 b_i - 1; a cell written twice receives FREE (the two writers
-    are counterparts and demand opposite guesses, and either choice - or a
-    pass - turns out not to matter).
+    A cell with one counterpart in the set receives the guess that is
+    wrong on that counterpart; a cell with both counterparts in the set
+    receives FREE (either guess, or a pass, turns out not to matter); every
+    other cell passes.
     """
-    n = aset.n_players
-    table = score_table(n)
-    rows = [[PASS] * (1 << (n - 1)) for _ in range(n)]
-    for code in aset.elements:
-        scores = table[code]
-        for i in range(n):
-            b = (code >> (n - 1 - i)) & 1
-            cell = rows[i]
-            if cell[scores[i]] == PASS:
-                cell[scores[i]] = 2 * b - 1
-            else:
-                cell[scores[i]] = FREE
-    return DecisionMatrix(tuple(tuple(r) for r in rows))
+    lose = frozenset(aset.elements)
+    rows = []
+    for row_cells in _cells(aset.n_players):
+        row = []
+        for white, black in row_cells:
+            d = PASS
+            if white in lose or black in lose:
+                for guess in (GUESS_BLACK, GUESS_WHITE):
+                    if _outcome(guess, white, black)[0] in lose:
+                        d = guess if d == PASS else FREE
+            row.append(d)
+        rows.append(tuple(row))
+    return DecisionMatrix(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +103,12 @@ def brute_force_optimal(
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
-    table = score_table(n)
     # every row of each player's decisions, in ternary-code order, as the
     # masks of the configurations where it guesses wrong and where it
     # guesses right
-    rows = []
-    for i in range(n):
-        outcomes = []
-        for row in itertools.product(CONCRETE_DECISIONS, repeat=1 << (n - 1)):
-            wrong = right = 0
-            for code in range(1 << n):
-                d = row[table[code][i]]
-                if d == 1 - 2 * ((code >> (n - 1 - i)) & 1):
-                    right |= 1 << code
-                elif d != PASS:
-                    wrong |= 1 << code
-            outcomes.append((wrong, right))
-        rows.append(outcomes)
+    choices = list(itertools.product(CONCRETE_DECISIONS, repeat=1 << (n - 1)))
+    rows = [[_guess_masks((row,), (row_cells,)) for row in choices]
+            for row_cells in _cells(n)]
     # product over players, player 1 outermost: list index = ternary code
     partial = [(0, 0)]
     for outcomes in rows[:-1]:
@@ -145,72 +139,46 @@ def all_matrices_for_set(aset: AdequateSet) -> list[DecisionMatrix]:
     """Every FREE-less matrix whose winning configurations are exactly the
     complement of the set, in ascending ternary-code order.
 
-    Backtracking over cells with constraint checks per configuration:
-    winning configurations may contain no wrong guess and need at least
-    one correct one; losing configurations must contain a wrong guess or
-    be all-pass.
+    Backtracking over the cells, player-major and score-minor, trying
+    black, pass, white in each.  The state is three configuration masks:
+    where some assigned guess is wrong, where one is right, and which
+    configurations have all their cells assigned (those whose last
+    player's cell is).  A branch is cut as soon as a winning configuration
+    holds a wrong guess, a complete winning configuration holds no right
+    one, or a complete losing configuration is won.
     """
     n = aset.n_players
-    width = 1 << (n - 1)
-    table = score_table(n)
-    lose = frozenset(aset.elements)
-    # cell index (player-major, score-minor) -> configurations touching it
-    touching: list[list[int]] = [[] for _ in range(n * width)]
-    cfg_cells: list[list[int]] = []
-    cfg_allowed: list[list[int]] = []
-    for code in range(1 << n):
-        scores = table[code]
-        cls = [i * width + scores[i] for i in range(n)]
-        cfg_cells.append(cls)
-        cfg_allowed.append([1 - 2 * ((code >> (n - 1 - i)) & 1) for i in range(n)])
-        for cell in cls:
-            touching[cell].append(code)
-
-    values: list[int | None] = [None] * (n * width)
+    lose = sum(1 << code for code in aset.elements)
+    win = (1 << (1 << n)) - 1 & ~lose
+    # per cell: the configurations it completes, and each decision with
+    # its wrong and right masks
+    cells = [
+        (1 << white | 1 << black if i == n - 1 else 0,
+         [(d, *_guess_masks([[d]], [[(white, black)]])) for d in CONCRETE_DECISIONS])
+        for i, row_cells in enumerate(_cells(n))
+        for white, black in row_cells
+    ]
+    values: list[int] = []
     out: list[DecisionMatrix] = []
 
-    def config_ok(code: int) -> bool:
-        """Feasibility of a configuration under the partial assignment."""
-        assigned = []
-        complete = True
-        has_wrong = False
-        has_right = False
-        for cell, allowed in zip(cfg_cells[code], cfg_allowed[code]):
-            v = values[cell]
-            if v is None:
-                complete = False
-                continue
-            if v == allowed:
-                has_right = True
-            elif v != PASS:
-                has_wrong = True
-        if code in lose:
-            # must NOT win: needs a wrong guess or all-pass in the end
-            if complete and not has_wrong and has_right:
-                return False
-            return True
-        # must win: wrong guesses are forbidden outright, and once complete
-        # someone must have guessed
-        if has_wrong:
-            return False
-        if complete and not has_right:
-            return False
-        return True
-
-    def backtrack(cell: int) -> None:
-        if cell == n * width:
-            rows = tuple(
+    def backtrack(wrong: int, right: int, complete: int) -> None:
+        if len(values) == len(cells):
+            width = len(cells) // n
+            out.append(DecisionMatrix(tuple(
                 tuple(values[i * width : (i + 1) * width]) for i in range(n)
-            )
-            out.append(DecisionMatrix(rows))  # type: ignore[arg-type]
+            )))
             return
-        for v in (GUESS_BLACK, PASS, GUESS_WHITE):
-            values[cell] = v
-            if all(config_ok(code) for code in touching[cell]):
-                backtrack(cell + 1)
-        values[cell] = None
+        completed, options = cells[len(values)]
+        complete |= completed
+        for d, w, r in options:
+            w, r = w | wrong, r | right
+            if w & win or complete & (win & ~r | lose & r & ~w):
+                continue
+            values.append(d)
+            backtrack(w, r, complete)
+            values.pop()
 
-    backtrack(0)
+    backtrack(0, 0, 0)
     return out
 
 
@@ -234,22 +202,20 @@ def permute_matrix(
 ) -> DecisionMatrix:
     """Image of a strategy under a relabeling of the players.
 
-    Player perm[i] of the image copies player i's behavior: on the score
-    they see in the relabeled configuration, they take the decision player
-    i took on the original.  Counterpart configurations agree on the
-    copied cell, so the image is well defined.
+    ``perm`` must be a permutation of range(N) (``ValueError`` otherwise).
+    Player perm[i] of the image copies player i's behavior: each cell of
+    player i goes to the cell of player perm[i] whose counterparts are the
+    relabeled counterparts, so every cell of the image is written once.
     """
     n = matrix.n_players
-    width = 1 << (n - 1)
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a permutation of range(%d), got %r" % (n, perm))
     table = score_table(n)
-    rows = [[None] * width for _ in range(n)]
-    for code in range(1 << n):
-        scores = table[code]
-        image = permute_config(code, n, perm)
-        image_scores = table[image]
-        for i in range(n):
-            rows[perm[i]][image_scores[perm[i]]] = matrix.rows[i][scores[i]]
-    assert all(v is not None for row in rows for v in row)
+    rows = [[None] * (1 << (n - 1)) for _ in range(n)]
+    for i, (row, row_cells) in enumerate(zip(matrix.rows, _cells(n))):
+        j = perm[i]
+        for d, (white, _) in zip(row, row_cells):
+            rows[j][table[permute_config(white, n, perm)][j]] = d
     return DecisionMatrix(tuple(tuple(row) for row in rows))
 
 

@@ -576,7 +576,7 @@ def test_mirrored_p_give_complementary_witnesses():
                 assert row_p.signature == row_q.signature.reversed()
 
 
-def test_sweep_large_sizes_need_branch_and_bound():
+def test_sweep_refused_for_six_players():
     with pytest.raises(ResourceLimitError):
         size_sweep(6, (12,), GameParams(6, P55))
 

@@ -281,7 +281,7 @@ def test_psi_five_fixtures():
     assert psi(HALF) == Fraction(25, 32)
     assert psi(NINE_TENTHS) == Fraction(91801, 100000)
     assert len(psi.pieces) == 4
-    assert psi.interior_breakpoints() == (SQRT2_MINUS_1, Sqrt2Num(HALF), TWO_MINUS_SQRT2)
+    assert psi.breakpoints[1:-1] == (SQRT2_MINUS_1, Sqrt2Num(HALF), TWO_MINUS_SQRT2)
 
 
 def test_psi_five_continuity_at_breakpoints():

@@ -1,6 +1,8 @@
 """Matrix synthesis, brute force, constrained enumeration, symmetry."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +23,7 @@ from hatgame.core import (
     ResourceLimitError,
     evaluate_matrix,
     losing_configs,
+    wins,
 )
 from hatgame.strategy import (
     all_matrices_for_set,
@@ -256,6 +259,82 @@ def test_all_matrices_three_players_unique():
 
 
 # ---------------------------------------------------------------------------
+# The win rule, written from the game's definition
+# ---------------------------------------------------------------------------
+
+
+def _rule_wins(rows, code):
+    """Some guess is right, none is wrong; FREE reads as a pass.  Player i
+    sees the other hats, MSB first, as its score."""
+    n = len(rows)
+    hats = [(code >> (n - 1 - i)) & 1 for i in range(n)]
+    right = []
+    for i in range(n):
+        seen = 0
+        for bit in hats[:i] + hats[i + 1 :]:
+            seen = 2 * seen + bit
+        d = rows[i][seen]
+        if d in (GUESS_WHITE, GUESS_BLACK):
+            right.append(d == (GUESS_WHITE if hats[i] == 0 else GUESS_BLACK))
+    return any(right) and all(right)
+
+
+def _rule_losses(rows):
+    return tuple(c for c in range(1 << len(rows)) if not _rule_wins(rows, c))
+
+
+def test_win_rule_on_random_matrices():
+    rng = random.Random(2016)
+    for n in range(2, 8):
+        for _ in range(30):
+            rows = tuple(
+                tuple(rng.choice((GUESS_BLACK, PASS, GUESS_WHITE, FREE))
+                      for _ in range(1 << (n - 1)))
+                for _ in range(n)
+            )
+            m = DecisionMatrix(rows)
+            assert [wins(m, c) for c in range(1 << n)] == [
+                _rule_wins(rows, c) for c in range(1 << n)
+            ]
+            losses = _rule_losses(rows)
+            assert losing_configs(m) == losses
+            p = rng.choice((HALF, NINE_TENTHS, Fraction(1, 3)))
+            expected = sum(
+                p ** (n - c.bit_count()) * (1 - p) ** c.bit_count()
+                for c in range(1 << n)
+                if c not in losses
+            )
+            assert evaluate_matrix(m, GameParams(n, p)) == expected
+
+
+def test_all_matrices_partition_the_two_player_strategies():
+    # decode all 3^4 matrices, player-major and score-minor, player 1 /
+    # score 0 the leading ternary digit, and group them by losing set
+    by_losses = {}
+    for digits in itertools.product((GUESS_BLACK, PASS, GUESS_WHITE), repeat=4):
+        rows = (digits[:2], digits[2:])
+        by_losses.setdefault(_rule_losses(rows), []).append(rows)
+    listed = 0
+    for size in range(2, 5):
+        for a in enumerate_adequate(2, size):
+            rows = [m.rows for m in all_matrices_for_set(a)]
+            assert rows == by_losses.pop(a.elements, [])
+            listed += len(rows)
+    assert listed == 81 and not by_losses
+
+
+def test_all_matrices_three_players_lose_exactly_on_their_set():
+    totals = {}
+    for size in (2, 3, 4):
+        totals[size] = 0
+        for a in enumerate_adequate(3, size):
+            for m in all_matrices_for_set(a):
+                assert _rule_losses(m.rows) == a.elements
+                totals[size] += 1
+    assert totals == {2: 4, 3: 624, 4: 25922}
+
+
+# ---------------------------------------------------------------------------
 # Player-permutation symmetry
 # ---------------------------------------------------------------------------
 
@@ -298,6 +377,13 @@ def test_permutation_action_is_compatible_with_sets():
         sorted(permute_config(c, 3, perm) for c in aset.elements)
     )
     assert losing_configs(image) == expected_losses
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (0, 0, 1), (0, 1), (1, 2, 3)])
+def test_permute_matrix_refuses_a_non_permutation(perm):
+    m = matrix_from_set(AdequateSet((1, 6), 3))
+    with pytest.raises(ValueError):
+        permute_matrix(m, perm)
 
 
 def test_dedupe_single_matrix():
