@@ -312,10 +312,12 @@ def psi_curve(
     """Evaluate the closed form on an equally spaced rational grid, with a
     row for each interior breakpoint in [p_min, p_max].
 
-    One ascending walk over the grid and the breakpoints: the piece of
-    p_min is looked up once, and the piece index advances as the walk
-    passes each breakpoint.  A breakpoint row replaces the grid row it
-    coincides with and is labelled "k|k+1", or "k" when it is p_max.
+    Grid row k is p = (base + k * step) / den on integers.  Each
+    interior breakpoint in [p_min, p_max] is placed once, before the first
+    grid row at or after it, which a bisection over k finds; grid rows in
+    between take the piece they lie in.  A breakpoint row replaces the
+    grid row it coincides with and is labelled "k|k+1", or "k" when it is
+    p_max.
     """
     p_min, p_max = exact_fraction(p_min), exact_fraction(p_max)
     if not (0 < p_min < p_max < 1):
@@ -324,20 +326,32 @@ def psi_curve(
         raise ValueError("steps must be >= 1")
     psi = psi_closed_form(n)
     bps = psi.breakpoints
-    i = psi.piece_index(p_min)
+    den = math.lcm(p_min.denominator, p_max.denominator) * steps
+    base = p_min.numerator * (den // p_min.denominator)
+    step = (p_max.numerator * (den // p_max.denominator) - base) // steps
     rows: list[CurveRow] = []
-    for k in range(steps + 1):
-        p = p_min + (p_max - p_min) * k / steps
-        on_breakpoint = False
-        # bps[-1] is 1 > p_max, so the walk never runs off the end
-        while bps[i + 1] <= p:
-            bp = bps[i + 1]
-            label = "%d|%d" % (i + 1, i + 2) if bp < p_max else str(i + 1)
-            rows.append(CurveRow(bp, psi.pieces[i](bp), label, True))
-            on_breakpoint = bp == p
-            i += 1
-        if not on_breakpoint:
-            rows.append(CurveRow(p, psi.pieces[i](p), str(i + 1)))
+
+    def grid_p(k: int) -> Fraction:
+        return Fraction(base + k * step, den)
+
+    def grid(start: int, stop: int, i: int) -> None:
+        piece, label = psi.pieces[i], str(i + 1)
+        for k in range(start, stop):
+            p = grid_p(k)
+            rows.append(CurveRow(p, piece(p), label))
+
+    # bps[0] = 0 < p_min and bps[-1] = 1 > p_max
+    j = psi.piece_index(p_min) + 1  # the first breakpoint at or after p_min
+    k = 0  # the next grid row
+    while bps[j] <= p_max:
+        bp = bps[j]
+        at = bisect.bisect_left(range(steps + 1), bp, key=grid_p)
+        grid(k, at, j - 1)
+        label = "%d|%d" % (j, j + 1) if bp < p_max else str(j)
+        rows.append(CurveRow(bp, psi.pieces[j - 1](bp), label, True))
+        k = at + (bp == grid_p(at))
+        j += 1
+    grid(k, steps + 1, j - 1)
     return rows
 
 

@@ -9,9 +9,16 @@ This module supplies the two primitives those proofs need:
 * :class:`Poly` - dense rational-coefficient polynomials with Sturm-chain
   root counting, isolation and bisection refinement.  Interval endpoints
   may be rational or quadratic (``Sqrt2Num``), so strict sign claims on
-  intervals like (1/2, 2 - sqrt 2) are decided exactly; isolation builds
-  one Sturm chain per call and always returns intervals with rational
-  ends.
+  intervals like (1/2, 2 - sqrt 2) are decided exactly; isolation always
+  returns intervals with rational ends.  The root layer runs on integers:
+  the Sturm chain, gcd and squarefree part come from one primitive
+  pseudo-remainder Euclid on the polynomial times the lcm of its
+  denominators (W. S. Brown, J. ACM 18, 1971), scaled only by positive
+  integers so every sign is kept; the chain is built once per Poly; the
+  sign at a rational a/b is that of the integer Horner sum
+  sum_j c_j a^j b^(d-j), and at a ``Sqrt2Num`` that of the same sum in
+  Z[sqrt 2]; and bisection runs on integer numerators over one
+  denominator.  A ``Fraction`` is built only for what is returned.
 * :class:`Sqrt2Num` - numbers a + b*sqrt(2) with rational a, b.  Ordering
   is exact (no floating point): one sign test on (a, b), which compares
   a^2 with 2 b^2 when the terms have opposite signs, serves ``sign()`` and
@@ -290,14 +297,9 @@ class Poly:
         sum_j C_j a^j b^(d-j) over the integer coefficients C_j of
         :attr:`_integer_coeffs`, and one Fraction at the end."""
         if isinstance(x, (int, Fraction)) and self.coeffs:
-            x = Fraction(x)
-            a, b = x.numerator, x.denominator
             ints, lcm = self._integer_coeffs
-            acc, bpow = 0, 1
-            for c in reversed(ints):
-                acc = acc * a + c * bpow
-                bpow *= b
-            return Fraction(acc, lcm * (bpow // b))
+            acc = _horner(ints, x.numerator, x.denominator)
+            return Fraction(acc, lcm * x.denominator ** (len(ints) - 1))
         result = x * 0  # zero of the right type
         for c in reversed(self.coeffs):
             result = result * x + c
@@ -318,59 +320,51 @@ class Poly:
 
     # -- euclidean machinery -------------------------------------------------
 
-    def _divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        dq = len(rem) - len(den)
-        if dq < 0:
-            return Poly(()), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = den[-1]
-        for k in range(dq, -1, -1):
-            coeff = rem[k + len(den) - 1] / lead
-            quo[k] = coeff
-            if coeff:
-                for j, d in enumerate(den):
-                    rem[k + j] -= coeff * d
-        return Poly(tuple(quo)), Poly(tuple(rem[: len(den) - 1]))
-
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a._divmod(b)[1]
-        if a.is_zero:
-            return a
-        return a * (1 / a.coeffs[-1])  # monic
+        """Monic greatest common divisor; the zero polynomial when both
+        are zero."""
+        g = _gcd(self._integer_coeffs[0], other._integer_coeffs[0])
+        return Poly(tuple(Fraction(c, g[-1]) for c in g))
 
     def squarefree_part(self) -> "Poly":
+        """self divided by its monic gcd with its derivative: the same
+        roots, each simple, and the same leading coefficient."""
         if self.degree <= 0:
             return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
+        sf = _squarefree(self._integer_coeffs[0])
+        if len(sf) == len(self.coeffs):
             return self
-        return self._divmod(g)[0]
+        return Poly(tuple(Fraction(c, sf[-1]) * self.coeffs[-1] for c in sf))
 
     # -- Sturm chains and real roots ----------------------------------------
 
-    def sturm_chain(self) -> tuple["Poly", ...]:
-        """Sturm chain of the squarefree part."""
-        f = self.squarefree_part()
-        chain = [f, f.derivative()]
-        while not chain[-1].is_zero:
-            chain.append(-(chain[-2]._divmod(chain[-1])[1]))
+    @cached_property
+    def _sturm(self) -> tuple["Poly", ...]:
+        """The chain :meth:`sturm_chain` returns, built once per Poly."""
+        f = _squarefree(self._integer_coeffs[0])
+        chain = [f, _primitive(_derivative(f))]
+        while chain[-1]:
+            rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+            chain.append(_primitive([-c for c in rem]))
         chain.pop()
-        return tuple(chain)
+        return tuple(Poly(f) for f in chain)
+
+    def sturm_chain(self) -> tuple["Poly", ...]:
+        """Sturm chain of the squarefree part, on primitive integer
+        polynomials: each member is a positive multiple of the member of
+        the classical chain f, f', -rem(f, f'), ..., so both give the same
+        sign variations everywhere."""
+        return self._sturm
 
     def _sturm_on(self, lo: Number, hi: Number) -> tuple:
-        """(Sturm chain, lo, hi), the interval made exact and checked."""
+        """(integer Sturm chain, lo, hi), the interval made exact and
+        checked."""
         lo, hi = _exact(lo), _exact(hi)
         if not lo < hi:
             raise ValueError("need lo < hi")
         if self.is_zero:
             raise ValueError("the zero polynomial has no root count")
-        return self.sturm_chain(), lo, hi
+        return tuple(f._integer_coeffs[0] for f in self.sturm_chain()), lo, hi
 
     def count_roots_open(self, lo: Number, hi: Number) -> int:
         """Number of distinct real roots in the open interval (lo, hi).
@@ -400,12 +394,12 @@ class Poly:
         def shrink(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
             # (a, b) holds exactly one root; move root endpoints inward
             # without losing it
-            while sf(a) == 0:
+            while not _sign_at(sf, a):
                 step = (b - a) / 2
                 while _count_open(chain, a + step, b) != 1:
                     step /= 2
                 a = a + step
-            while sf(b) == 0:
+            while not _sign_at(sf, b):
                 step = (b - a) / 2
                 while _count_open(chain, a, b - step) != 1:
                     step /= 2
@@ -423,7 +417,7 @@ class Poly:
             mid = _rational_inside(a, b)
             left = _count_open(chain, a, mid)
             recurse(a, mid, left)
-            if sf(mid) == 0:
+            if not _sign_at(sf, mid):
                 out.append((mid, mid))
                 left += 1
             recurse(mid, b, k - left)
@@ -439,25 +433,32 @@ class Poly:
         Requires that (lo, hi) isolates exactly one root and that the
         squarefree part changes sign across it (always true for an interval
         produced by :meth:`isolate_roots_open` with non-root endpoints).
+        The bisection runs on integer numerators over one denominator,
+        the common denominator of lo and hi doubled at each halving.
         """
         lo, hi = exact_fraction(lo), exact_fraction(hi)
         if lo == hi:
             return lo, hi
-        sf = self.squarefree_part()
-        slo = number_sign(sf(lo))
-        shi = number_sign(sf(hi))
+        sf = self._sturm[0]._integer_coeffs[0]
+        den = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        slo, shi = _int_sign(sf, a, den), _int_sign(sf, b, den)
         if slo == 0 or shi == 0 or slo == shi:
             raise ValueError("interval endpoints must straddle a sign change")
-        while hi - lo >= width:
-            mid = (lo + hi) / 2
-            smid = number_sign(sf(mid))
+        width = Fraction(width)
+        # (b - a) / den >= width, cross-multiplied
+        while (b - a) * width.denominator >= width.numerator * den:
+            a, b, den = 2 * a, 2 * b, 2 * den
+            mid = (a + b) // 2
+            smid = _int_sign(sf, mid, den)
             if smid == 0:
-                return mid, mid
+                return Fraction(mid, den), Fraction(mid, den)
             if smid == slo:
-                lo = mid
+                a = mid
             else:
-                hi = mid
-        return lo, hi
+                b = mid
+        return Fraction(a, den), Fraction(b, den)
 
     def sign_on_open_interval(self, lo: Number, hi: Number) -> int:
         """Constant exact sign of the polynomial on (lo, hi).
@@ -501,18 +502,112 @@ def _exact(x) -> Number:
     return exact_fraction(x)
 
 
-def _count_open(chain: Sequence[Poly], lo: Number, hi: Number) -> int:
+def _count_open(chain: Sequence[tuple[int, ...]], lo: Number, hi: Number) -> int:
     """Distinct roots of chain[0] in the open interval (lo, hi), counted on
-    its Sturm chain."""
+    its integer Sturm chain."""
 
     def variations(signs: list[int]) -> int:
         signs = [s for s in signs if s != 0]
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
-    at_lo = [number_sign(f(lo)) for f in chain]
-    at_hi = [number_sign(f(hi)) for f in chain]
+    at_lo = [_sign_at(f, lo) for f in chain]
+    at_hi = [_sign_at(f, hi) for f in chain]
     # Sturm counts roots in (lo, hi]; drop hi if it is a root itself
     return variations(at_lo) - variations(at_hi) - (at_hi[0] == 0)
+
+
+# -- the integer kernel ------------------------------------------------------
+#
+# Polynomials here are tuples or lists of ints, ascending powers, with no
+# trailing zero; the empty one is zero.  Scaling by a positive integer
+# keeps every sign, so the Euclid below is exact without any Fraction.
+
+
+def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
+    """cs divided by its content, the positive gcd of its coefficients."""
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+
+
+def _derivative(cs: Sequence[int]) -> tuple[int, ...]:
+    return tuple(i * c for i, c in enumerate(cs) if i > 0)
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with m^k a = q b + r, deg r < deg b, m = |lc b| and some
+    k >= 0.
+
+    Scaling by |lc b| rather than lc b keeps q and r positive multiples of
+    the rational quotient and remainder (Brown's pseudo-division with the
+    sign of lc b left out), so a remainder sequence keeps its signs."""
+    db = len(b) - 1
+    m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        t = s * r[k + db]
+        if not t:
+            continue
+        if m != 1:
+            r = [m * c for c in r]
+            q = [m * c for c in q]
+        q[k] += t
+        for j, c in enumerate(b):
+            r[k + j] -= t * c
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive gcd with a positive leading coefficient, by a primitive
+    remainder sequence; () when both are zero."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return tuple(-c for c in a) if a and a[-1] < 0 else a
+
+
+def _squarefree(cs: Sequence[int]) -> tuple[int, ...]:
+    """Primitive squarefree part: cs over its gcd with its derivative, a
+    positive multiple of the rational quotient by the monic gcd."""
+    g = _gcd(cs, _derivative(cs))
+    if len(g) <= 1:
+        return _primitive(cs)
+    return _primitive(_pseudo_divmod(cs, g)[0])
+
+
+def _horner(cs: Sequence[int], a: int, b: int) -> int:
+    """sum_j cs[j] a^j b^(d-j) with d = len(cs) - 1: b^d times the value
+    at a/b."""
+    acc, bpow = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
+
+
+def _int_sign(cs: Sequence[int], a: int, b: int) -> int:
+    """Exact sign at a/b, b > 0."""
+    acc = _horner(cs, a, b)
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_at(cs: Sequence[int], x: Number) -> int:
+    """Exact sign at x: an integer Horner sum when x is rational; when x
+    is a Sqrt2Num (u + v sqrt 2) / w on integers, the same sum in
+    Z[sqrt 2]: w^d times the value, a + b sqrt 2."""
+    if not isinstance(x, Sqrt2Num):
+        return _int_sign(cs, x.numerator, x.denominator)
+    w = math.lcm(x.a.denominator, x.b.denominator)
+    u = x.a.numerator * (w // x.a.denominator)
+    v = x.b.numerator * (w // x.b.denominator)
+    a, b, wpow = 0, 0, 1
+    for c in reversed(cs):
+        a, b = a * u + 2 * b * v + c * wpow, a * v + b * u
+        wpow *= w
+    return _sign(a, b)
 
 
 def _rational_inside(lo: Number, hi: Number) -> Fraction:

@@ -1,12 +1,16 @@
 """Polynomial dominance, the psi curve, counting, and complexity tables."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as hst
 
 from hatgame.adequate import Signature, adequate_sets_cached, signature
 from hatgame.analysis import (
     COVERING_CODE_SIZE,
+    CurveRow,
     complexity_table,
     count_optimal_sets,
     covering_check,
@@ -171,6 +175,38 @@ def test_dominance_graph_on_quadratic_intervals(interval, n_edges, root_counts):
             else:
                 assert diff(a) != 0 and diff(b) != 0
                 assert diff.count_roots_open(a, b) == 1
+
+
+#: dominance_graph(n, interval) for n = 4 and 5, frozen: node labels,
+#: edges and the exact root intervals of every crossing.  The file holds
+#: one graph per line, keyed "n interval".
+PINNED_GRAPHS = json.loads(
+    (Path(__file__).parent / "data" / "dominance_graphs.json").read_text()
+)
+PINNED_INTERVALS = {
+    "0..1/2": (Fraction(0), HALF),
+    "1/2..1": (HALF, Fraction(1)),
+    "0..1": (Fraction(0), Fraction(1)),
+    "sqrt2-1..1/2": (SQRT2_MINUS_1, HALF),
+    "sqrt2-1..2-sqrt2": (SQRT2_MINUS_1, TWO_MINUS_SQRT2),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(PINNED_GRAPHS), ids=lambda key: key.replace(" ", "-").replace("/", "_")
+)
+def test_dominance_graph_matches_pinned_output(key):
+    n, interval = key.split(" ")
+    g = dominance_graph(int(n), PINNED_INTERVALS[interval])
+    pinned = PINNED_GRAPHS[key]
+    assert list(g.node_labels()) == pinned["nodes"]
+    assert g.edges == tuple(tuple(e) for e in pinned["edges"])
+    assert g.crossings == tuple(
+        (i, j, tuple((Fraction(lo), Fraction(hi)) for lo, hi in roots))
+        for i, j, roots in pinned["crossings"]
+    )
+    for _i, _j, roots in g.crossings:
+        assert all(type(lo) is Fraction and type(hi) is Fraction for lo, hi in roots)
 
 
 def test_dominance_rejects_mismatched_lengths():
@@ -447,6 +483,48 @@ def test_psi_curve_breakpoint_rows():
 def test_psi_curve_edge_rows(n, p_min, p_max, steps, expected):
     rows = psi_curve(n, p_min, p_max, steps)
     assert [(r.p, r.piece, r.is_breakpoint, type(r.p)) for r in rows] == expected
+
+
+def _naive_psi_curve(n, p_min, p_max, steps):
+    """psi_curve by its documented rules, built row by row: the closed form
+    at every grid point, each interior breakpoint in [p_min, p_max] added
+    with the left piece's value and replacing the grid point it equals,
+    all sorted exactly."""
+    psi = psi_closed_form(n)
+    breakpoints = [
+        (j, bp) for j, bp in enumerate(psi.breakpoints[1:-1], 1) if p_min <= bp <= p_max
+    ]
+    rows = [
+        CurveRow(bp, psi(bp), "%d|%d" % (j, j + 1) if bp < p_max else str(j), True)
+        for j, bp in breakpoints
+    ]
+    for k in range(steps + 1):
+        p = p_min + (p_max - p_min) * k / steps
+        if all(bp != p for _j, bp in breakpoints):
+            rows.append(CurveRow(p, psi(p), str(psi.piece_index(p) + 1)))
+    return sorted(rows, key=lambda r: Sqrt2Num(r.p) if type(r.p) is Fraction else r.p)
+
+
+#: Rationals strictly inside (0, 1); small denominators put grid points on
+#: the breakpoint 1/2.
+unit_rationals = hst.fractions(0, 1, max_denominator=24).filter(lambda p: 0 < p < 1)
+
+
+@given(
+    hst.integers(2, 5),
+    hst.sets(unit_rationals, min_size=2, max_size=2).map(sorted),
+    hst.integers(1, 40),
+)
+@example(5, [Fraction(2, 5), Fraction(3, 5)], 10)  # three breakpoints, 1/2 on the grid
+@example(5, [HALF, Fraction(3, 5)], 3)  # starts on a breakpoint
+@example(2, [Fraction(1, 10), HALF], 4)  # ends on one
+@example(5, [Fraction(2, 5), Fraction(41, 100)], 7)  # no grid point past sqrt2 - 1
+def test_psi_curve_matches_naive_build(n, ends, steps):
+    p_min, p_max = ends
+    got = psi_curve(n, p_min, p_max, steps)
+    want = _naive_psi_curve(n, p_min, p_max, steps)
+    shape = lambda r: (r.p, type(r.p), r.psi, type(r.psi), r.piece, r.is_breakpoint)
+    assert [shape(r) for r in got] == [shape(r) for r in want]
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,71 @@ def test_refine_root_width():
     assert Sqrt2Num(lo) < SQRT2 < Sqrt2Num(hi)
 
 
+#: Quadratic endpoints around the roots +-sqrt 2 of x^2 - 2 and the
+#: breakpoints of the five-player curve.
+SQRT2_ENDS = [SQRT2_MINUS_1, TWO_MINUS_SQRT2, SQRT2, -SQRT2, SQRT2 + 1, 1 - SQRT2]
+
+
+@given(
+    hst.lists(
+        hst.tuples(hst.integers(-12, 12), hst.integers(1, 6), hst.integers(1, 3)),
+        max_size=4,
+    ),
+    hst.integers(0, 2),
+    hst.fractions(-5, 5, max_denominator=7).filter(bool),
+    hst.integers(1, 30),
+    hst.data(),
+)
+@example([(1, 2, 2), (1, 1, 1)], 0, F(-3), 13, None)  # double root at 1/2
+@example([], 1, F(1), 15, None)  # +-sqrt 2 alone
+def test_root_isolation_against_known_roots(factors, sqrt2_power, lead, digits, data):
+    # lead * prod (b x - a)^m * (x^2 - 2)^sqrt2_power, whose roots are known
+    x = Poly.x()
+    poly = Poly.constant(lead) * Poly.from_coeffs([-2, 0, 1]) ** sqrt2_power
+    for a, b, m in factors:
+        poly = poly * (b * x - a) ** m
+    roots = {Sqrt2Num(F(a, b)) for a, b, _ in factors}
+    if sqrt2_power:
+        roots |= {SQRT2, -SQRT2}
+    roots = sorted(roots)
+    if data is None:  # the examples: an interval around every root
+        ends = [Sqrt2Num(-5), Sqrt2Num(5)]
+    else:
+        end = hst.fractions(-4, 4, max_denominator=12).map(Sqrt2Num)
+        if roots:
+            end = end | hst.sampled_from(roots)
+        if sqrt2_power:
+            end = end | hst.sampled_from(SQRT2_ENDS)
+        ends = sorted(data.draw(hst.sets(end, min_size=2, max_size=2)))
+    lo, hi = (e.a if e.is_rational else e for e in ends)
+    inside = [r for r in roots if lo < r < hi]
+
+    assert poly.count_roots_open(lo, hi) == len(inside)
+    intervals = poly.isolate_roots_open(lo, hi)
+    assert len(intervals) == len(inside)
+    for (a, b), (c, _d) in zip(intervals, intervals[1:]):
+        # ascending; neighbours may share an end, which is then no root
+        # (the check below puts each root in exactly one interval)
+        assert b <= c
+    width = F(1, 10**digits)
+    for (a, b), root in zip(intervals, inside):
+        assert type(a) is Fraction and type(b) is Fraction
+        assert lo <= a <= b <= hi
+        # each interval holds its root and no other one
+        assert [r for r in roots if a <= r <= b] == [root]
+        if a == b:  # degenerate only on an exact root
+            assert root == a
+            continue
+        assert a < root < b
+        c, d = poly.refine_root(a, b, width)
+        assert type(c) is Fraction and type(d) is Fraction
+        assert a <= c <= d <= b
+        if c == d:
+            assert root == c
+        else:
+            assert c < root < d and d - c < width
+
+
 def test_sign_on_open_interval():
     x = Poly.x()
     p = (x - 1) * (x - 2)
