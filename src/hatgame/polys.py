@@ -16,8 +16,8 @@ This module supplies the two primitives those proofs need:
   denominators (W. S. Brown, J. ACM 18, 1971), scaled only by positive
   integers so every sign is kept; the chain is built once per Poly; the
   sign at a rational a/b is that of the integer Horner sum
-  sum_j c_j a^j b^(d-j), and at a ``Sqrt2Num`` that of the same sum in
-  Z[sqrt 2]; and bisection runs on integer numerators over one
+  sum_j c_j a^j b^(d-j), and at a ``Sqrt2Num`` that of the Poly's own
+  Q(sqrt 2) evaluation; and bisection runs on integer numerators over one
   denominator.  A ``Fraction`` is built only for what is returned.
 * :class:`Sqrt2Num` - numbers a + b*sqrt(2) with rational a, b.  Ordering
   is exact (no floating point): one sign test on (a, b), which compares
@@ -595,19 +595,11 @@ def _int_sign(cs: Sequence[int], a: int, b: int) -> int:
 
 
 def _sign_at(cs: Sequence[int], x: Number) -> int:
-    """Exact sign at x: an integer Horner sum when x is rational; when x
-    is a Sqrt2Num (u + v sqrt 2) / w on integers, the same sum in
-    Z[sqrt 2]: w^d times the value, a + b sqrt 2."""
-    if not isinstance(x, Sqrt2Num):
-        return _int_sign(cs, x.numerator, x.denominator)
-    w = math.lcm(x.a.denominator, x.b.denominator)
-    u = x.a.numerator * (w // x.a.denominator)
-    v = x.b.numerator * (w // x.b.denominator)
-    a, b, wpow = 0, 0, 1
-    for c in reversed(cs):
-        a, b = a * u + 2 * b * v + c * wpow, a * v + b * u
-        wpow *= w
-    return _sign(a, b)
+    """Exact sign at x: an integer Horner sum when x is rational, else the
+    sign of the Poly's own evaluation in Q(sqrt 2)."""
+    if isinstance(x, Sqrt2Num):
+        return number_sign(Poly(cs)(x))
+    return _int_sign(cs, x.numerator, x.denominator)
 
 
 def _rational_inside(lo: Number, hi: Number) -> Fraction:
