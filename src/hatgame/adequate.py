@@ -339,11 +339,22 @@ def _cover_search(
     which has the same value and the reversed signature.  Mirrored p thus
     grow the same tree and give complementary witnesses.
 
-    At the root the lowest uncovered configuration is all-white; its
-    coverers are itself and the n unit vectors, one S_n orbit of equal
-    weight.  Only the first unit vector is branched on, and all of them are
-    banned in the later root branches: a coordinate swap maps any cover in
-    a skipped branch to one of equal weight in the branch taken.
+    Coordinate symmetry prunes every node.  A node keeps one column per
+    coordinate, the bits of its chosen elements there.  Two coverers of
+    the lowest uncovered configuration ``low`` that flip it along
+    coordinates i and k are one orbit when columns i and k are equal and
+    ``low`` has the same bit at i and k; only the first member of an orbit
+    (in coverer order) is branched on, and the later ones are banned in
+    the later branches without a subtree of their own.  This is sound:
+    the transposition (i k) fixes every chosen element and ``low`` and
+    keeps weights, so it maps a cover in a skipped branch to one of equal
+    weight that the search order reaches earlier (in the first member's
+    branch, or, if that cover holds a banned element, in an even earlier
+    branch; so bans need not be invariant).  The first optimum in search
+    order thus never lies in a skipped subtree.  At the root nothing is
+    chosen and the n unit vectors form one orbit.  Columns are built only
+    at nodes that pass the bounds and dropped once all n differ, since
+    choosing more elements only splits them further.
 
     Over all sizes, the search starts from a greedy cover.  Its bound is
     the larger of the cheapest coverer of the lowest uncovered
@@ -367,7 +378,6 @@ def _cover_search(
     weights = [params.weights[n - (c ^ flip).bit_count()] for c in range(h)]
     order = sorted(range(h), key=lambda e: (weights[e], e))
     coverers = [[e for e in order if (balls[c] >> e) & 1] for c in range(h)]
-    units = sum(1 << (1 << k) for k in range(n))
     per_ball = n + 1
 
     best: int | None = None
@@ -399,7 +409,8 @@ def _cover_search(
 
     nodes = 0
 
-    def rec(covered: int, chosen: tuple[int, ...], weight: int, banned: int):
+    def rec(covered: int, chosen: tuple[int, ...], weight: int, banned: int,
+            cols: tuple[int, ...] | None):
         nonlocal best, best_set, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -430,18 +441,31 @@ def _cover_search(
                 bound = sum(weights[e] for e in cheapest_unchosen(chosen, left))
             if weight + bound >= best:
                 return
+        if cols is not None and chosen:
+            # `cols` are the parent's columns: append the last element's bits
+            last = chosen[-1]
+            cols = tuple(c << 1 | (last >> i) & 1 for i, c in enumerate(cols))
+            if len(set(cols)) == n:
+                cols = None
         tried = 0
+        orbits = set()
         for e in coverers[low]:
+            if cols is not None and e != low:
+                # e flips `low` along k; a swap of two coordinates with equal
+                # columns and equal bits of `low` maps one such flip to another
+                k = (e ^ low).bit_length() - 1
+                orbit = (cols[k], (low >> k) & 1)
+                if orbit in orbits:
+                    tried |= 1 << e
+                    continue
+                orbits.add(orbit)
             # chosen elements never cover `low`, so only bans filter here
             if not (banned >> e) & 1:
                 rec(covered | balls[e], chosen + (e,), weight + weights[e],
-                    banned | tried)
+                    banned | tried, cols)
                 tried |= 1 << e
-                if e == 1 and not covered:
-                    # the other unit vectors lie in the orbit of 2^0
-                    banned |= units
 
-    rec(0, (), 0, 0)
+    rec(0, (), 0, 0, (0,) * n)
     if best is None:
         return None
     value = Fraction(best, params.total_weight)
@@ -455,7 +479,10 @@ def min_cover_optimize(
     exact branch and bound of :func:`_cover_search`; the returned optimum
     is irredundant.  For p < 1/2 the witness is the complement of the one
     at 1 - p; for p >= 1/2 it is the greedy cover if that ties the optimum,
-    else the first optimum in search order.
+    else the first optimum in search order.  The search skips, at every
+    node, the branches that a swap of two coordinates maps onto an earlier
+    branch, which never holds that first optimum, so the witness is the
+    one of the unpruned search.
 
     ``node_budget`` bounds the search-tree size for best-effort runs on
     larger n; exceeding it raises :class:`ResourceLimitError`.  Without a

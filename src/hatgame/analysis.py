@@ -380,17 +380,23 @@ def optimal_signature_classes(n: int, p: Number) -> tuple[Signature, ...]:
 
 def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, int]]:
     """The minimum-size loss classes of least probability at ``p``, with
-    their numbers of sets.  Each class's loss polynomial is evaluated at p
-    as given: a rational p in Fraction arithmetic, a quadratic one in
+    their numbers of sets.  At a rational p the classes are compared by
+    their integer losses, the counts dotted with :attr:`GameParams.weights`
+    (as :meth:`Signature.probability` does, without its common
+    denominator); at a quadratic p each loss polynomial is evaluated in
     Q(sqrt 2).  Floats are refused."""
     x = _exact(p)
     if not 0 < x < 1:
         raise ValueError("p must lie strictly between 0 and 1")
-    values = [
-        (sig, count, signature_poly(sig)(x)) for sig, count in _class_histogram(n)
-    ]
-    best = min(value for _, _, value in values)
-    return [(sig, count) for sig, count, value in values if value == best]
+    classes = _class_histogram(n)
+    if isinstance(x, Sqrt2Num):
+        values = [signature_poly(sig)(x) for sig, _ in classes]
+    else:
+        weights = GameParams(n, x).weights
+        values = [sum(c * w for c, w in zip(sig.counts, weights))
+                  for sig, _ in classes]
+    best = min(values)
+    return [cls for cls, value in zip(classes, values) if value == best]
 
 
 # ---------------------------------------------------------------------------

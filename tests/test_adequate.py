@@ -11,6 +11,7 @@ from hatgame.adequate import (
     AdequateSet,
     NoAdequateSetError,
     Signature,
+    _cover_search,
     adequate_sets_cached,
     ball_mask,
     enumerate_adequate,
@@ -447,6 +448,32 @@ def test_min_cover_six_players_mirrored_tenths():
     assert low[0].elements == tuple(sorted(e ^ full for e in high[0].elements))
 
 
+def test_min_cover_six_players_witnesses_and_node_counts():
+    # the coordinate-symmetry pruning keeps the first optimum in search
+    # order, so the witnesses are those of the unpruned search; the budgets
+    # guard its node counts (43 281 and 295 741 nodes at 9/10 and 1/2, from
+    # 122 103 and 897 977 without it)
+    expected = [
+        (NINE_TENTHS, 50_000,
+         (1, 6, 10, 28, 29, 31, 44, 45, 47, 48, 50, 51, 61, 63),
+         Fraction(8119, 100000)),
+        (HALF, 350_000,
+         (0, 1, 2, 15, 23, 28, 39, 44, 52, 57, 58, 59), Fraction(3, 16)),
+        (Fraction(3, 5), 600_000,
+         (1, 3, 7, 12, 26, 29, 42, 45, 48, 52, 54, 59), Fraction(114, 625)),
+    ]
+    for p, budget, elements, value in expected:
+        aset, got = min_cover_optimize(6, GameParams(6, p), node_budget=budget)
+        assert (aset.elements, got) == (elements, value)
+    # the exact-size search prunes too: the n = 5 size-10 row at 2/5 takes
+    # 1 251 nodes (1 798 without the pruning)
+    aset, value = _cover_search(5, GameParams(5, Fraction(2, 5)), size=10,
+                                node_budget=1_400)
+    assert (aset.elements, value) == (
+        (0, 2, 4, 7, 8, 9, 16, 17, 25, 30), Fraction(746, 3125)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Size sweeps
 # ---------------------------------------------------------------------------
@@ -522,11 +549,14 @@ def test_sweep_exact_size_search_matches_exhaustive():
             assert values.get(row.signature) == best
             assert row.witness in by_sig[row.signature]
 
+    # at p = 1/2 all flips of a configuration weigh the same: an orbit rule
+    # that ignores the bits of the configuration being covered gives wrong
+    # values there (n = 3 size 2, n = 4 size 4) and nowhere else in this list
     for n in (2, 3, 4):
         for size in range(1, (1 << n) + 1):
-            check(n, size, (NINE_TENTHS, P55, Fraction(1, 10), Fraction(2, 5)))
-    check(5, 7, (P55, Fraction(2, 5)))
-    check(5, 8, (P55,))
+            check(n, size, (NINE_TENTHS, P55, Fraction(1, 10), Fraction(2, 5), HALF))
+    check(5, 7, (P55, Fraction(2, 5), HALF))
+    check(5, 8, (P55, HALF))
 
 
 def test_sweep_exact_size_witnesses_are_pinned():
