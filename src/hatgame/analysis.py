@@ -20,6 +20,7 @@ import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -437,19 +438,8 @@ def sci_2sig(value: int) -> str:
     1853020188851841 -> "1.9E+15"."""
     if value <= 0:
         raise ValueError("positive integers only")
-    digits = str(value)
-    exp = len(digits) - 1
-    if exp == 0:
-        return "%d.0E+0" % value
-    head = value // 10 ** (exp - 1)  # two leading digits
-    rest = value % 10 ** (exp - 1)
-    half = 5 * 10 ** (exp - 2) if exp >= 2 else 0
-    if exp >= 2 and (rest > half or (rest == half and head % 2 == 1)):
-        head += 1
-    if head == 100:
-        head = 10
-        exp += 1
-    return "%d.%dE+%d" % (head // 10, head % 10, exp)
+    context = Context(prec=2, rounding=ROUND_HALF_EVEN)
+    return format(context.create_decimal(value), ".1E")
 
 
 @dataclass(frozen=True)

@@ -165,18 +165,18 @@ def score(code: int, n: int, player: int) -> int:
     _check_config(code, n)
     if not 1 <= player <= n:
         raise ValueError("player must be in [1, %d], got %r" % (n, player))
-    b = bits(code, n)
-    s = 0
-    for k in range(1, player):
-        s += b[k - 1] << (n - k - 1)
-    for k in range(player + 1, n + 1):
-        s += b[k - 1] << (n - k)
-    return s
+    return _drop_bit(code, n - player)
+
+
+def _drop_bit(code: int, k: int) -> int:
+    """code with bit k deleted: the bits above k move one place down."""
+    return code >> (k + 1) << k | code & ((1 << k) - 1)
 
 
 def score_vector(code: int, n: int) -> tuple[int, ...]:
     """All N scores (s_1, ..., s_N) of a configuration."""
-    return tuple(score(code, n, i) for i in range(1, n + 1))
+    _check_config(code, n)
+    return tuple(_drop_bit(code, k) for k in range(n - 1, -1, -1))
 
 
 @lru_cache(maxsize=32)
@@ -346,8 +346,7 @@ def wins(matrix: DecisionMatrix, code: int) -> bool:
     _check_config(code, n)
     someone_guessed = False
     for i, (row, row_cells) in enumerate(zip(matrix.rows, _cells(n))):
-        k = n - 1 - i  # the player's bit; the score is code without it
-        s = code >> (k + 1) << k | code & ((1 << k) - 1)
+        s = _drop_bit(code, n - 1 - i)  # what player i+1 sees
         outcome = _outcome(row[s], *row_cells[s])
         if outcome is None:
             continue

@@ -14,11 +14,13 @@ This module supplies the two primitives those proofs need:
   the Sturm chain, gcd and squarefree part come from one primitive
   pseudo-remainder Euclid on the polynomial times the lcm of its
   denominators (W. S. Brown, J. ACM 18, 1971), scaled only by positive
-  integers so every sign is kept; the chain is built once per Poly; the
-  sign at a rational a/b is that of the integer Horner sum
-  sum_j c_j a^j b^(d-j), and at a ``Sqrt2Num`` that of the Poly's own
-  Q(sqrt 2) evaluation; and bisection runs on integer numerators over one
-  denominator.  A ``Fraction`` is built only for what is returned.
+  integers so every sign is kept; the chain is built once per Poly as
+  integer tuples; the sign at a rational a/b is that of the integer Horner
+  sum sum_j c_j a^j b^(d-j), and at a ``Sqrt2Num`` that of the same sum in
+  Q(sqrt 2).  Isolation evaluates the chain once per point and carries
+  the signs down the bisection; a root endpoint steps inward by the sign
+  of the chain's derivative member.  Refinement bisects integer
+  numerators over one denominator.
 * :class:`Sqrt2Num` - numbers a + b*sqrt(2) with rational a, b.  Ordering
   is exact (no floating point): one sign test on (a, b), which compares
   a^2 with 2 b^2 when the terms have opposite signs, serves ``sign()`` and
@@ -339,7 +341,7 @@ class Poly:
     # -- Sturm chains and real roots ----------------------------------------
 
     @cached_property
-    def _sturm(self) -> tuple["Poly", ...]:
+    def _sturm(self) -> tuple[tuple[int, ...], ...]:
         """The chain :meth:`sturm_chain` returns, built once per Poly."""
         f = _squarefree(self._integer_coeffs[0])
         chain = [f, _primitive(_derivative(f))]
@@ -347,31 +349,33 @@ class Poly:
             rem = _pseudo_divmod(chain[-2], chain[-1])[1]
             chain.append(_primitive([-c for c in rem]))
         chain.pop()
-        return tuple(Poly(f) for f in chain)
+        return tuple(chain)
 
-    def sturm_chain(self) -> tuple["Poly", ...]:
-        """Sturm chain of the squarefree part, on primitive integer
-        polynomials: each member is a positive multiple of the member of
-        the classical chain f, f', -rem(f, f'), ..., so both give the same
-        sign variations everywhere."""
+    def sturm_chain(self) -> tuple[tuple[int, ...], ...]:
+        """Sturm chain of the squarefree part as primitive integer
+        coefficient tuples, ascending powers: each member is a positive
+        multiple of the member of the classical chain f, f', -rem(f, f'),
+        ..., so both give the same sign variations everywhere."""
         return self._sturm
 
     def _sturm_on(self, lo: Number, hi: Number) -> tuple:
-        """(integer Sturm chain, lo, hi), the interval made exact and
-        checked."""
+        """(chain, lo, signs at lo, hi, signs at hi), the interval made
+        exact and checked."""
         lo, hi = _exact(lo), _exact(hi)
         if not lo < hi:
             raise ValueError("need lo < hi")
         if self.is_zero:
             raise ValueError("the zero polynomial has no root count")
-        return tuple(f._integer_coeffs[0] for f in self.sturm_chain()), lo, hi
+        chain = self.sturm_chain()
+        return chain, lo, _signs(chain, lo), hi, _signs(chain, hi)
 
     def count_roots_open(self, lo: Number, hi: Number) -> int:
         """Number of distinct real roots in the open interval (lo, hi).
 
         Endpoints may be rational or Sqrt2Num; both are handled exactly.
         """
-        return _count_open(*self._sturm_on(lo, hi))
+        _chain, _lo, slo, _hi, shi = self._sturm_on(lo, hi)
+        return _roots_between(slo, shi)
 
     def isolate_roots_open(
         self, lo: Number, hi: Number
@@ -382,47 +386,47 @@ class Poly:
         Endpoints may be rational or Sqrt2Num.  One Sturm chain counts the
         roots of every subinterval.  An interval is split at
         :func:`_rational_inside` (its midpoint when both ends are rational)
-        until it holds one root and has rational ends.  Exact rational roots
-        are returned as degenerate intervals (r, r).  Non-degenerate
-        intervals are normalized so that neither endpoint is itself a root,
-        which makes them directly usable by :meth:`refine_root`.
+        until it holds one root and has rational ends; each split point's
+        chain signs are computed once and serve both halves.  Exact rational
+        roots are returned as degenerate intervals (r, r).  A root endpoint
+        of another interval is stepped inward until the squarefree part has
+        the sign the chain's derivative member gives beside it, so neither
+        endpoint is a root and the intervals are directly usable by
+        :meth:`refine_root`.
         """
-        chain, lo, hi = self._sturm_on(lo, hi)
+        chain, lo, slo, hi, shi = self._sturm_on(lo, hi)
         sf = chain[0]
         out: list[tuple[Fraction, Fraction]] = []
 
-        def shrink(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-            # (a, b) holds exactly one root; move root endpoints inward
-            # without losing it
-            while not _sign_at(sf, a):
-                step = (b - a) / 2
-                while _count_open(chain, a + step, b) != 1:
-                    step /= 2
-                a = a + step
-            while not _sign_at(sf, b):
-                step = (b - a) / 2
-                while _count_open(chain, a, b - step) != 1:
-                    step /= 2
-                b = b - step
-            return a, b
-
-        def recurse(a: Number, b: Number, k: int) -> None:
+        def recurse(a: Number, sa, b: Number, sb, k: int) -> None:
             if k == 0:
                 return
             # only lo and hi can be irrational, and then they are Sqrt2Num
             rational = not isinstance(a, Sqrt2Num) and not isinstance(b, Sqrt2Num)
             if k == 1 and rational:
-                out.append(shrink(a, b))
+                # A root endpoint is a simple root of sf, and chain[1] is a
+                # positive multiple of sf', so sf has the sign sa[1] just
+                # right of a and -sb[1] just left of b.  With one root r in
+                # (a, b), sf has one sign on (a, r) and the other on (r, b):
+                # a trial point has the sign beside a exactly when r lies
+                # between it and b, and the sign beside b exactly when r
+                # lies between a and it.
+                if not sa[0]:
+                    a = _step_in(sf, a, b, sa[1])
+                if not sb[0]:
+                    b = _step_in(sf, b, a, -sb[1])
+                out.append((a, b))
                 return
             mid = _rational_inside(a, b)
-            left = _count_open(chain, a, mid)
-            recurse(a, mid, left)
-            if not _sign_at(sf, mid):
+            smid = _signs(chain, mid)
+            left = _roots_between(sa, smid)
+            recurse(a, sa, mid, smid, left)
+            if not smid[0]:
                 out.append((mid, mid))
                 left += 1
-            recurse(mid, b, k - left)
+            recurse(mid, smid, b, sb, k - left)
 
-        recurse(lo, hi, _count_open(chain, lo, hi))
+        recurse(lo, slo, hi, shi, _roots_between(slo, shi))
         return out
 
     def refine_root(
@@ -439,7 +443,7 @@ class Poly:
         lo, hi = exact_fraction(lo), exact_fraction(hi)
         if lo == hi:
             return lo, hi
-        sf = self._sturm[0]._integer_coeffs[0]
+        sf = self._sturm[0]
         den = math.lcm(lo.denominator, hi.denominator)
         a = lo.numerator * (den // lo.denominator)
         b = hi.numerator * (den // hi.denominator)
@@ -459,24 +463,6 @@ class Poly:
             else:
                 b = mid
         return Fraction(a, den), Fraction(b, den)
-
-    def sign_on_open_interval(self, lo: Number, hi: Number) -> int:
-        """Constant exact sign of the polynomial on (lo, hi).
-
-        Returns +1 or -1 when the polynomial has that strict sign on the
-        whole open interval, 0 when it is identically zero, and raises
-        ValueError when the sign is not constant (a root lies inside).
-        """
-        if self.is_zero:
-            return 0
-        if self.count_roots_open(lo, hi) > 0:
-            raise ValueError("polynomial changes sign or vanishes on the interval")
-        witness = _rational_inside(lo, hi)
-        s = number_sign(self(witness))
-        # no roots inside, so the sign at any interior point is the sign
-        # everywhere on the open interval
-        assert s != 0
-        return s
 
     def __str__(self):
         if self.is_zero:
@@ -502,18 +488,30 @@ def _exact(x) -> Number:
     return exact_fraction(x)
 
 
-def _count_open(chain: Sequence[tuple[int, ...]], lo: Number, hi: Number) -> int:
-    """Distinct roots of chain[0] in the open interval (lo, hi), counted on
-    its integer Sturm chain."""
+def _signs(chain: Sequence[tuple[int, ...]], x: Number) -> tuple[int, ...]:
+    """The signs of the chain's members at x."""
+    return tuple(_sign_at(f, x) for f in chain)
 
-    def variations(signs: list[int]) -> int:
-        signs = [s for s in signs if s != 0]
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
-    at_lo = [_sign_at(f, lo) for f in chain]
-    at_hi = [_sign_at(f, hi) for f in chain]
-    # Sturm counts roots in (lo, hi]; drop hi if it is a root itself
-    return variations(at_lo) - variations(at_hi) - (at_hi[0] == 0)
+def _roots_between(sa: Sequence[int], sb: Sequence[int]) -> int:
+    """Distinct roots of a Sturm chain's first member in the open interval
+    (a, b), from the chain's signs sa at a and sb at b."""
+
+    def variations(signs: Sequence[int]) -> int:
+        signs = [s for s in signs if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    # Sturm counts roots in (a, b]; drop b if it is a root itself
+    return variations(sa) - variations(sb) - (sb[0] == 0)
+
+
+def _step_in(sf: Sequence[int], end: Fraction, other: Fraction, sign: int) -> Fraction:
+    """The first of end + (other - end) / 2^j, j = 1, 2, ..., where sf has
+    ``sign``."""
+    step = (other - end) / 2
+    while _sign_at(sf, end + step) != sign:
+        step /= 2
+    return end + step
 
 
 # -- the integer kernel ------------------------------------------------------
@@ -596,9 +594,9 @@ def _int_sign(cs: Sequence[int], a: int, b: int) -> int:
 
 def _sign_at(cs: Sequence[int], x: Number) -> int:
     """Exact sign at x: an integer Horner sum when x is rational, else the
-    sign of the Poly's own evaluation in Q(sqrt 2)."""
+    sign of the same Horner sum in Q(sqrt 2)."""
     if isinstance(x, Sqrt2Num):
-        return number_sign(Poly(cs)(x))
+        return number_sign(_horner(cs, x, 1))
     return _int_sign(cs, x.numerator, x.denominator)
 
 

@@ -213,14 +213,16 @@ def test_criterion_08_size_sweeps():
     P, Q = Poly.x(), Poly.from_coeffs([1, -1])
     step = 2 * Q**2 * P**3 - P**5
     interval = (HALF, TWO_MINUS_SQRT2)
-    assert step.sign_on_open_interval(*interval) == 1
+    assert step.count_roots_open(*interval) == 0
+    assert step(Fraction(11, 20)) > 0
     assert step(TWO_MINUS_SQRT2) == Sqrt2Num(0)
     # it stays strictly below both single-element weights q^3 p^2 and
     # q^2 p^3 throughout the regime, touching q^3 p^2 exactly at the
     # left endpoint
     assert (step - Q**3 * P**2)(HALF) == 0
-    assert (step - Q**3 * P**2).sign_on_open_interval(*interval) == -1
-    assert (step - Q**2 * P**3).sign_on_open_interval(*interval) == -1
+    for single in (Q**3 * P**2, Q**2 * P**3):
+        assert (step - single).count_roots_open(*interval) == 0
+        assert (step - single)(Fraction(11, 20)) < 0
     print("criterion 8 PASS: sweep tables exact, 17->18 step sign proven")
 
 
@@ -243,7 +245,8 @@ def test_criterion_09_dominance_identities():
     # (the negativity conclusion would be the same either way)
     assert diff_bc == -2 * P * Q * p_minus_q**2
     assert diff_bc != -2 * P * Q * p_minus_q**3
-    assert diff_bc.sign_on_open_interval(HALF, Fraction(1)) == -1
+    assert diff_bc.count_roots_open(HALF, Fraction(1)) == 0
+    assert diff_bc(Fraction(3, 4)) < 0
 
     graph = dominance_graph(5)
     assert len(graph.nodes) == 12

@@ -169,6 +169,13 @@ def test_count_roots_algebraic_endpoints():
     assert p.count_roots_open(Sqrt2Num(0), SQRT2) == 0
     assert p.count_roots_open(Sqrt2Num(0), Sqrt2Num(2)) == 1
     assert p.count_roots_open(SQRT2, Sqrt2Num(2)) == 0
+    # p^3 (p^2 - 4p + 2) has no root on (1/2, 2 - sqrt2), where it is
+    # positive, nor on (2 - sqrt2, 1), where it is negative
+    step = Poly.from_coeffs([0, 0, 0, 2, -4, 1])
+    assert step.count_roots_open(F(1, 2), TWO_MINUS_SQRT2) == 0
+    assert step(F(11, 20)) > 0
+    assert step.count_roots_open(TWO_MINUS_SQRT2, F(1)) == 0
+    assert step(F(3, 4)) < 0
 
 
 def test_isolate_roots():
@@ -183,6 +190,41 @@ def test_isolate_roots():
     q = (x - 1) * (x - 3)
     ivs = q.isolate_roots_open(F(0), F(4))
     assert len(ivs) == 2
+
+
+#: Isolating intervals pinned exactly: root endpoints stepped inward, a
+#: root at a bisection midpoint, a double root, Q(sqrt 2) ends.
+X = Poly.x()
+ISOLATION_PINS = [
+    ("lo is a root", (X - 1) * (X - 2) * (X - 3), F(1), F(4),
+     [(F(7, 4), F(5, 2)), (F(5, 2), F(4))]),
+    ("hi is a root", (X - 1) * (X - 2) * (X - 3), F(0), F(3),
+     [(F(0), F(3, 2)), (F(3, 2), F(9, 4))]),
+    ("both ends are roots", X * (3 * X - 1) * (X - 2), F(0), F(2),
+     [(F(1, 4), F(9, 8))]),
+    ("midpoint is a root", (X - 1) * (X - 2) * (X - 3), F(0), F(4),
+     [(F(0), F(3, 2)), (F(2), F(2)), (F(5, 2), F(4))]),
+    ("double root", (2 * X - 1) ** 2 * (X + 1), F(-2), F(1),
+     [(F(-2), F(-1, 2)), (F(-1, 2), F(1))]),
+    ("double root at lo", (2 * X - 1) ** 2 * (3 * X - 2), F(1, 2), F(1),
+     [(F(5, 8), F(1))]),
+    ("sqrt2 lo", Poly.from_coeffs([2, -4, 1]), SQRT2_MINUS_1, F(4),
+     [(F(1, 2), F(9, 4)), (F(9, 4), F(4))]),
+    ("sqrt2 lo is a root", Poly.from_coeffs([2, -4, 1]), TWO_MINUS_SQRT2, F(4),
+     [(F(2), F(4))]),
+    ("sqrt2 hi", Poly.from_coeffs([-2, 0, 1]), F(0), SQRT2 + 1,
+     [(F(0), F(3, 2))]),
+]
+
+
+@pytest.mark.parametrize(
+    "poly,lo,hi,expected", [case[1:] for case in ISOLATION_PINS],
+    ids=[case[0] for case in ISOLATION_PINS],
+)
+def test_isolation_pinned(poly, lo, hi, expected):
+    intervals = poly.isolate_roots_open(lo, hi)
+    assert intervals == expected
+    assert all(type(e) is Fraction for iv in intervals for e in iv)
 
 
 def test_isolate_roots_with_quadratic_endpoints():
@@ -271,19 +313,6 @@ def test_root_isolation_against_known_roots(factors, sqrt2_power, lead, digits, 
             assert root == c
         else:
             assert c < root < d and d - c < width
-
-
-def test_sign_on_open_interval():
-    x = Poly.x()
-    p = (x - 1) * (x - 2)
-    assert p.sign_on_open_interval(F(1), F(2)) == -1
-    assert p.sign_on_open_interval(F(2), F(5)) == 1
-    with pytest.raises(ValueError):
-        p.sign_on_open_interval(F(0), F(3))
-    # algebraic endpoints: p^3 (p^2 - 4p + 2) is positive on (1/2, 2 - sqrt2)
-    step = Poly.from_coeffs([0, 0, 0, 2, -4, 1])
-    assert step.sign_on_open_interval(F(1, 2), TWO_MINUS_SQRT2) == 1
-    assert step.sign_on_open_interval(TWO_MINUS_SQRT2, F(1)) == -1
 
 
 # ---------------------------------------------------------------------------
