@@ -133,12 +133,13 @@ class AdequateSet:
     n_players: int
 
     def __post_init__(self):
-        elems = tuple(sorted(_validate_elements(self.elements, self.n_players)))
-        object.__setattr__(self, "elements", elems)
+        elems = tuple(self.elements)
+        # is_adequate_hamming validates the elements before testing them
         if not is_adequate_hamming(elems, self.n_players):
             raise ValueError(
-                "%r is not adequate for n=%d" % (elems, self.n_players)
+                "%r is not adequate for n=%d" % (tuple(sorted(elems)), self.n_players)
             )
+        object.__setattr__(self, "elements", tuple(sorted(elems)))
 
     @property
     def size(self) -> int:
@@ -203,13 +204,16 @@ class Signature:
         return self.compact()
 
 
+def _zero_counts(elements: Iterable[int], n: int) -> tuple[int, ...]:
+    counts = [0] * (n + 1)
+    for e in elements:
+        counts[n - e.bit_count()] += 1
+    return tuple(counts)
+
+
 def signature(aset: AdequateSet) -> Signature:
     """Zero-count histogram of the set's elements."""
-    n = aset.n_players
-    counts = [0] * (n + 1)
-    for e in aset.elements:
-        counts[n - e.bit_count()] += 1
-    return Signature(tuple(counts))
+    return Signature(_zero_counts(aset.elements, aset.n_players))
 
 
 def set_probability(aset: AdequateSet, params: GameParams) -> Fraction:
@@ -235,8 +239,11 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
     once.  A finished cover is padded with every combination of the
     unbanned, unchosen elements.  A node is cut when more configurations
     are uncovered than the elements left can cover (n+1 each).  The
-    listing is built in memory and sorted once.
+    listing is built in memory and sorted once.  Refused for n > 5, where
+    the listings are beyond desk scale.
     """
+    if n > 5:
+        raise ResourceLimitError("adequate-set enumeration is supported for n <= 5")
     h = 1 << n
     if not 1 <= size <= h:
         raise ValueError("size must be in [1, %d], got %r" % (h, size))
@@ -272,24 +279,37 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
 
 def enumerate_adequate(n: int, size: int) -> Iterator[AdequateSet]:
     """Stream every adequate set of exactly ``size`` elements, in
-    lexicographic order of element tuples.  May be empty.  Refused for
-    n > 5, where the listings are beyond desk scale.
+    lexicographic order of element tuples, each validated once as an
+    :class:`AdequateSet`.  May be empty.  Refused for n > 5 (see
+    :func:`_cover_tuples`).
 
     The listing of :func:`_cover_tuples` is built in full before the first
     set is yielded, so memory grows with the count: streaming all of n=5,
     size=9 (410 400 sets) peaks near 64 MB."""
-    if n > 5:
-        raise ResourceLimitError("adequate-set enumeration is supported for n <= 5")
     for elems in _cover_tuples(n, size):
         yield AdequateSet(elems, n)
 
 
 @lru_cache(maxsize=8)
 def adequate_sets_cached(n: int, size: int) -> tuple[AdequateSet, ...]:
-    """Materialized :func:`enumerate_adequate`, cached for reuse: analysis
-    routines that need the same list (optimal sets, class histograms,
-    optimal-set counts) share it through this cache."""
+    """Materialized :func:`enumerate_adequate`, cached for callers that
+    read the same listing more than once.  The package itself reads the
+    listing through :func:`_signature_groups`."""
     return tuple(enumerate_adequate(n, size))
+
+
+@lru_cache(maxsize=8)
+def _signature_groups(
+    n: int, size: int
+) -> tuple[tuple[Signature, tuple[tuple[int, ...], ...]], ...]:
+    """The listing of :func:`_cover_tuples` grouped by signature: one
+    (signature, element tuples) pair per class, classes in order of first
+    appearance in the lexicographic listing, tuples lexicographic within
+    each.  This is the one place where a listed set's class is computed."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for elems in _cover_tuples(n, size):
+        groups.setdefault(_zero_counts(elems, n), []).append(elems)
+    return tuple((Signature(counts), tuple(sets)) for counts, sets in groups.items())
 
 
 def optimal_sets(
@@ -298,20 +318,24 @@ def optimal_sets(
     """All minimum-probability adequate sets of exactly ``size`` elements
     (lexicographic order) together with the minimum value.
 
-    Each distinct signature of the listing is evaluated once; the winners
-    are the sets whose signature attains the minimum."""
+    Each signature class of :func:`_signature_groups` is evaluated once;
+    the winners are the sets of the classes that attain the minimum."""
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
-    sets = adequate_sets_cached(n, size)
-    if not sets:
+    groups = _signature_groups(n, size)
+    if not groups:
         raise NoAdequateSetError(
             "no adequate set of size %d exists for n=%d" % (size, n)
         )
-    sigs = [signature(aset) for aset in sets]
-    values = {sig: sig.probability(params) for sig in set(sigs)}
-    best = min(values.values())
-    return [aset for aset, sig in zip(sets, sigs) if values[sig] == best], best
+    values = [sig.probability(params) for sig, _ in groups]
+    best = min(values)
+    winners = sorted(
+        elems
+        for (_, sets), value in zip(groups, values) if value == best
+        for elems in sets
+    )
+    return [AdequateSet(elems, n) for elems in winners], best
 
 
 # ---------------------------------------------------------------------------

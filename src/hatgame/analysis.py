@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
@@ -27,10 +26,9 @@ from typing import Iterable
 
 from .adequate import (
     Signature,
-    adequate_sets_cached,
+    _signature_groups,
     min_cover_optimize,
     min_cover_size,
-    signature,
 )
 from .core import GameParams, ResourceLimitError, exact_fraction
 from .polys import (
@@ -53,16 +51,15 @@ COVERING_CODE_SIZE = {2: 2, 3: 2, 4: 4, 5: 7, 6: 12, 7: 16, 8: 32, 9: 62}
 
 @lru_cache(maxsize=1024)
 def signature_poly(sig: Signature) -> Poly:
-    """Loss polynomial sum_j c_j p^j (1-p)^(n-j), expanded exactly and
-    cached per signature."""
+    """Loss polynomial sum_j c_j p^j (1-p)^(n-j), cached per signature.
+    Expanding (1-p)^(n-j) by the binomial theorem, the coefficient of p^k
+    is the integer sum_{j<=k} c_j (-1)^(k-j) C(n-j, k-j)."""
     n = sig.n_players
-    p = Poly.x()
-    q = Poly((Fraction(1), Fraction(-1)))
-    total = Poly(())
-    for j, c in enumerate(sig.counts):
-        if c:
-            total = total + c * p**j * q ** (n - j)
-    return total
+    return Poly(tuple(
+        sum(c * (-1) ** (k - j) * math.comb(n - j, k - j)
+            for j, c in enumerate(sig.counts[: k + 1]))
+        for k in range(n + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +168,13 @@ class DominanceGraph:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=8)
-def _class_histogram(n: int) -> tuple[tuple[Signature, int], ...]:
-    """Each signature of the minimum-size adequate sets with its number of
-    sets."""
-    counts = Counter(
-        signature(aset) for aset in adequate_sets_cached(n, min_cover_size(n))
-    )
-    return tuple(counts.items())
-
-
 def signature_classes(n: int) -> tuple[Signature, ...]:
     """Distinct signatures of the minimum-size adequate sets, ordered by
     probability at p = 9/10 (ascending), ties by compact string."""
     params = GameParams(n, Fraction(9, 10))
     return tuple(
         sorted(
-            (sig for sig, _ in _class_histogram(n)),
+            (sig for sig, _ in _signature_groups(n, min_cover_size(n))),
             key=lambda s: (s.probability(params), s.compact()),
         )
     )
@@ -369,7 +356,7 @@ def count_optimal_sets(n: int, p: Number) -> int:
     thresholds are sqrt(2)-1 and 2-sqrt(2), where two loss classes tie and
     the optimal families merge); comparison is exact either way.
     """
-    return sum(count for _, count in _optimal_classes(n, p))
+    return sum(len(sets) for _, sets in _optimal_classes(n, p))
 
 
 def optimal_signature_classes(n: int, p: Number) -> tuple[Signature, ...]:
@@ -379,9 +366,9 @@ def optimal_signature_classes(n: int, p: Number) -> tuple[Signature, ...]:
     return tuple(sorted(classes, key=Signature.compact))
 
 
-def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, int]]:
+def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, tuple]]:
     """The minimum-size loss classes of least probability at ``p``, with
-    their numbers of sets.  At a rational p the classes are compared by
+    their sets' elements.  At a rational p the classes are compared by
     their integer losses, the counts dotted with :attr:`GameParams.weights`
     (as :meth:`Signature.probability` does, without its common
     denominator); at a quadratic p each loss polynomial is evaluated in
@@ -389,7 +376,7 @@ def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, int]]:
     x = _exact(p)
     if not 0 < x < 1:
         raise ValueError("p must lie strictly between 0 and 1")
-    classes = _class_histogram(n)
+    classes = _signature_groups(n, min_cover_size(n))
     if isinstance(x, Sqrt2Num):
         values = [signature_poly(sig)(x) for sig, _ in classes]
     else:

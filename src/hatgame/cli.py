@@ -24,7 +24,7 @@ from . import analysis
 from .adequate import (
     NoAdequateSetError,
     Signature,
-    adequate_sets_cached,
+    _signature_groups,
     min_cover_size,
     optimal_sets,
     signature,
@@ -108,19 +108,15 @@ def _csv_out(rows, header):
 def cmd_enumerate(args) -> int:
     n, size = args.n, args.das
     params = GameParams(n, args.p)
-    sets = adequate_sets_cached(n, size)
-    # the signature fixes the value and both of its printed forms
-    sigs = [signature(aset) for aset in sets]
-    sums = {}
-    for sig in set(sigs):
+    records = []
+    for sig, sets in _signature_groups(n, size):
+        # the signature fixes the value and both of its printed forms
         value = sig.probability(params)
-        sums[sig] = (value, decimal_str(value), rational_str(value))
-    records = [
-        (aset.elements, sums[sig], [n - e.bit_count() for e in aset.elements])
-        for aset, sig in zip(sets, sigs)
-    ]
-    if args.sort == "sum":
-        records.sort(key=lambda r: (r[1][0], r[0]))
+        priced = (value, decimal_str(value), rational_str(value))
+        records += [
+            (elems, priced, [n - e.bit_count() for e in elems]) for elems in sets
+        ]
+    records.sort(key=lambda r: (r[1][0], r[0]) if args.sort == "sum" else r[0])
     print("count=%d" % len(records), file=sys.stderr)
     if args.format == "json":
         payload = [

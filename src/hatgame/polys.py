@@ -293,22 +293,21 @@ class Poly:
         return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int and Sqrt2Num.
+        """Horner evaluation by :func:`_horner`; works for Fraction, int
+        and Sqrt2Num.
 
-        A rational x = a/b takes an integer Horner sum
-        sum_j C_j a^j b^(d-j) over the integer coefficients C_j of
-        :attr:`_integer_coeffs`, and one Fraction at the end."""
-        if isinstance(x, (int, Fraction)) and self.coeffs:
+        A rational x = a/b takes the integer sum sum_j C_j a^j b^(d-j) over
+        the integer coefficients C_j of :attr:`_integer_coeffs`, and one
+        Fraction at the end.  Any other x takes the sum over the
+        coefficients themselves in x's own arithmetic, so a float rounds as
+        a plain float Horner loop does."""
+        if not self.coeffs:
+            return x * 0  # zero of the right type
+        if isinstance(x, (int, Fraction)):
             ints, lcm = self._integer_coeffs
             acc = _horner(ints, x.numerator, x.denominator)
             return Fraction(acc, lcm * x.denominator ** (len(ints) - 1))
-        result = x * 0  # zero of the right type
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return _horner(self.coeffs, x, 1)
 
     def compose_one_minus_x(self) -> "Poly":
         """p(1 - x): the color-swap substitution p <-> q."""
@@ -319,24 +318,6 @@ class Poly:
             result = result + power * c
             power = power * one_minus_x
         return result
-
-    # -- euclidean machinery -------------------------------------------------
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor; the zero polynomial when both
-        are zero."""
-        g = _gcd(self._integer_coeffs[0], other._integer_coeffs[0])
-        return Poly(tuple(Fraction(c, g[-1]) for c in g))
-
-    def squarefree_part(self) -> "Poly":
-        """self divided by its monic gcd with its derivative: the same
-        roots, each simple, and the same leading coefficient."""
-        if self.degree <= 0:
-            return self
-        sf = _squarefree(self._integer_coeffs[0])
-        if len(sf) == len(self.coeffs):
-            return self
-        return Poly(tuple(Fraction(c, sf[-1]) * self.coeffs[-1] for c in sf))
 
     # -- Sturm chains and real roots ----------------------------------------
 

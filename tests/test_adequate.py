@@ -281,6 +281,25 @@ def test_optimal_sets_four_players():
     assert len(sets) == 24
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_optimal_sets_equal_a_plain_filter(n):
+    # the validated listing filtered by set_probability, which reads no
+    # signature table, against optimal_sets and count_optimal_sets
+    from hatgame.analysis import count_optimal_sets
+
+    k_min = min_cover_size(n)
+    for size in (k_min, k_min + 1):
+        sets = adequate_sets_cached(n, size)
+        for k in range(1, 10):
+            params = GameParams(n, Fraction(k, 10))
+            values = [set_probability(a, params) for a in sets]
+            best = min(values)
+            winners = [a for a, v in zip(sets, values) if v == best]
+            assert optimal_sets(n, params, size) == (winners, best)
+            if size == k_min:
+                assert count_optimal_sets(n, params.p_white) == len(winners)
+
+
 def test_optimal_sets_empty_size_raises():
     with pytest.raises(NoAdequateSetError):
         optimal_sets(3, GameParams(3, HALF), 1)

@@ -76,6 +76,31 @@ def test_signature_poly_matches_enumerated_sums():
         assert signature_poly(s)(NINE_TENTHS) == set_probability(aset, params)
 
 
+def _ring_expansion(counts):
+    """sum_j c_j P^j Q^(n-j) in Poly ring arithmetic, the oracle for the
+    integer coefficients of signature_poly."""
+    n = len(counts) - 1
+    total = Poly(())
+    for j, c in enumerate(counts):
+        total = total + c * P**j * Q ** (n - j)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_signature_poly_equals_ring_expansion_on_classes(n):
+    for s in signature_classes(n):
+        assert signature_poly(s) == _ring_expansion(s.counts)
+
+
+@given(
+    hst.integers(2, 6).flatmap(
+        lambda n: hst.lists(hst.integers(0, 40), min_size=n + 1, max_size=n + 1)
+    )
+)
+def test_signature_poly_equals_ring_expansion(counts):
+    assert signature_poly(Signature(tuple(counts))) == _ring_expansion(counts)
+
+
 # ---------------------------------------------------------------------------
 # Dominance
 # ---------------------------------------------------------------------------

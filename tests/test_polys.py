@@ -116,7 +116,6 @@ def test_poly_arithmetic():
     assert p == Poly.from_coeffs([2, -3, 1])
     assert p(F(1)) == 0 and p(F(2)) == 0 and p(F(0)) == 2
     assert (p - p).is_zero
-    assert p.derivative() == Poly.from_coeffs([-3, 2])
     assert (2 * x + 1) ** 2 == Poly.from_coeffs([1, 4, 4])
 
 
@@ -132,14 +131,6 @@ def test_poly_evaluation_in_quadratic_field():
     # (x^2 - 2) vanishes exactly at sqrt 2
     p = Poly.from_coeffs([-2, 0, 1])
     assert p(SQRT2) == Sqrt2Num(0)
-
-
-def test_gcd_and_squarefree():
-    x = Poly.x()
-    p = (x - 1) ** 2 * (x + 2)
-    g = p.gcd(p.derivative())
-    assert g == Poly.from_coeffs([-1, 1])  # monic x - 1
-    assert p.squarefree_part() == (x - 1) * (x + 2)
 
 
 # ---------------------------------------------------------------------------
