@@ -39,7 +39,6 @@ from .polys import (
     TWO_MINUS_SQRT2,
     _exact,
     _rational_inside,
-    number_sign,
 )
 
 #: Minimum sizes K(n, 1) of binary covering codes of radius 1 for word
@@ -104,6 +103,8 @@ def dominance(
     if sig_a.n_players != sig_b.n_players:
         raise ValueError("signatures must have equal player counts")
     lo, hi = (_exact(x) for x in interval)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
     diff = signature_poly(sig_a) - signature_poly(sig_b)
     if diff.is_zero:
         return DominanceResult("equal")
@@ -112,8 +113,8 @@ def dominance(
     )
     if roots:
         return DominanceResult("crossing", roots)
-    s = number_sign(diff(_rational_inside(lo, hi)))
-    return DominanceResult("always_less" if s < 0 else "always_greater")
+    less = diff(_rational_inside(lo, hi)) < 0
+    return DominanceResult("always_less" if less else "always_greater")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import io
+import itertools
 import json
 import os
 import sys
@@ -106,40 +108,48 @@ def _csv_out(rows, header):
 
 
 def cmd_enumerate(args) -> int:
+    """Stream the listing: each class of :func:`_signature_groups` is
+    priced once, and the classes' tuples, each class already
+    lexicographic, are merged in order, so rows are written as they are
+    made.  ``--sort sum`` merges each run of classes of equal value, runs
+    by ascending value."""
     n, size = args.n, args.das
     params = GameParams(n, args.p)
-    records = []
-    for sig, sets in _signature_groups(n, size):
+    groups = _signature_groups(n, size)
+    runs = {}
+    for sig, sets in groups:
         # the signature fixes the value and both of its printed forms
         value = sig.probability(params)
-        priced = (value, decimal_str(value), rational_str(value))
-        records += [
-            (elems, priced, [n - e.bit_count() for e in elems]) for elems in sets
-        ]
-    records.sort(key=lambda r: (r[1][0], r[0]) if args.sort == "sum" else r[0])
-    print("count=%d" % len(records), file=sys.stderr)
+        priced = (decimal_str(value), rational_str(value))
+        run = runs.setdefault(value if args.sort == "sum" else 0, [])
+        run.append(zip(sets, itertools.repeat(priced)))
+    records = itertools.chain.from_iterable(heapq.merge(*runs[k]) for k in sorted(runs))
+    count = sum(len(sets) for _, sets in groups)
+    print("count=%d" % count, file=sys.stderr)
     if args.format == "json":
-        payload = [
-            {
+        # the bytes json.dumps gives for the whole document, item by item
+        out = sys.stdout
+        out.write('{"n": %d, "das": %d, "count": %d, "sets": [' % (n, size, count))
+        for k, (elems, (dec, exact)) in enumerate(records):
+            item = {
                 "elements": list(elems),
                 "sum": exact,
                 "sum_decimal": dec,
-                "zeros": zeros,
+                "zeros": [n - e.bit_count() for e in elems],
             }
-            for elems, (_, dec, exact), zeros in records
-        ]
-        print(json.dumps({"n": n, "das": size, "count": len(records), "sets": payload}))
+            out.write((", " if k else "") + json.dumps(item))
+        out.write("]}\n")
         return EXIT_OK
-    header = (
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(
         ["i%d" % (k + 1) for k in range(size)]
         + ["sum", "sum_exact"]
         + ["z%d" % (k + 1) for k in range(size)]
     )
-    rows = [
-        list(elems) + [dec, exact] + zeros
-        for elems, (_, dec, exact), zeros in records
-    ]
-    sys.stdout.write(_csv_out(rows, header))
+    writer.writerows(
+        list(elems) + [dec, exact] + [n - e.bit_count() for e in elems]
+        for elems, (dec, exact) in records
+    )
     return EXIT_OK
 
 

@@ -16,15 +16,20 @@ This module supplies the two primitives those proofs need:
   denominators (W. S. Brown, J. ACM 18, 1971), scaled only by positive
   integers so every sign is kept; the chain is built once per Poly as
   integer tuples; the sign at a rational a/b is that of the integer Horner
-  sum sum_j c_j a^j b^(d-j), and at a ``Sqrt2Num`` that of the same sum in
-  Q(sqrt 2).  Isolation evaluates the chain once per point and carries
-  the signs down the bisection; a root endpoint steps inward by the sign
-  of the chain's derivative member.  Refinement bisects integer
-  numerators over one denominator.
-* :class:`Sqrt2Num` - numbers a + b*sqrt(2) with rational a, b.  Ordering
-  is exact (no floating point): one sign test on (a, b), which compares
-  a^2 with 2 b^2 when the terms have opposite signs, serves ``sign()`` and
-  every comparison, and an ``int`` or ``Fraction`` is compared as it is.
+  sum sum_j c_j a^j b^(d-j).  Isolation evaluates the chain once per point
+  and carries the signs down the bisection; a root endpoint steps inward
+  by the sign of the chain's derivative member.  Refinement bisects
+  integer numerators over one denominator.
+* :class:`Sqrt2Num` - numbers a + b*sqrt(2) with rational a, b, as exact
+  ordered values with no arithmetic.  Ordering is exact (no floating
+  point): one sign test on (a, b), which compares a^2 with 2 b^2 when the
+  terms have opposite signs, serves ``sign()`` and every comparison, and
+  an ``int`` or ``Fraction`` is compared as it is.
+
+Every evaluation at a ``Sqrt2Num`` x goes through one integer kernel,
+:func:`_sqrt2_horner`: with x = (u + v sqrt2)/w on integers, the Horner step
+(P, Q) <- (P u + 2 Q v + c w^k, P v + Q u) gives P + Q sqrt2 = w^d times
+the value, so a sign is that of (P, Q) and ``Poly.__call__`` divides once.
 
 Floats are refused as coefficients, components and interval endpoints: a
 binary float is not the rational it was typed as.
@@ -51,50 +56,6 @@ class Sqrt2Num:
     def __post_init__(self):
         object.__setattr__(self, "a", exact_fraction(self.a))
         object.__setattr__(self, "b", exact_fraction(self.b))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(value) -> "Sqrt2Num":
-        if isinstance(value, Sqrt2Num):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Sqrt2Num(Fraction(value))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Sqrt2Num(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Sqrt2Num(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Sqrt2Num(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Sqrt2Num(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
 
     # -- exact ordering -----------------------------------------------------
 
@@ -163,7 +124,7 @@ class Sqrt2Num:
 
 
 def _sign(a: Fraction, b: Fraction) -> int:
-    """Exact sign of a + b*sqrt(2) for rational a, b."""
+    """Exact sign of a + b*sqrt(2) for rational (or integer) a, b."""
     sa = (a > 0) - (a < 0)
     sb = (b > 0) - (b < 0)
     if sa == sb or sb == 0:
@@ -182,12 +143,6 @@ SQRT2_MINUS_1 = Sqrt2Num(-1, 1)
 TWO_MINUS_SQRT2 = Sqrt2Num(2, -1)
 
 Number = Union[int, Fraction, Sqrt2Num]
-
-
-def number_sign(x: Number) -> int:
-    if isinstance(x, Sqrt2Num):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -293,31 +248,26 @@ class Poly:
         return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
 
     def __call__(self, x):
-        """Horner evaluation by :func:`_horner`; works for Fraction, int
-        and Sqrt2Num.
+        """Horner evaluation; works for Fraction, int, Sqrt2Num and float.
 
-        A rational x = a/b takes the integer sum sum_j C_j a^j b^(d-j) over
-        the integer coefficients C_j of :attr:`_integer_coeffs`, and one
-        Fraction at the end.  Any other x takes the sum over the
-        coefficients themselves in x's own arithmetic, so a float rounds as
-        a plain float Horner loop does."""
+        A rational x = a/b takes the integer sum sum_j C_j a^j b^(d-j) of
+        :func:`_horner` over the integer coefficients C_j of
+        :attr:`_integer_coeffs`, and one Fraction at the end; a Sqrt2Num
+        takes the integer pair of :func:`_sqrt2_horner` over the same C_j,
+        and one Fraction per part.  A float takes the sum over the
+        coefficients themselves in float arithmetic, so it rounds as a
+        plain float Horner loop does."""
         if not self.coeffs:
-            return x * 0  # zero of the right type
+            return Sqrt2Num(0) if isinstance(x, Sqrt2Num) else x * 0
+        ints, lcm = self._integer_coeffs
         if isinstance(x, (int, Fraction)):
-            ints, lcm = self._integer_coeffs
             acc = _horner(ints, x.numerator, x.denominator)
             return Fraction(acc, lcm * x.denominator ** (len(ints) - 1))
+        if isinstance(x, Sqrt2Num):
+            p, q, w = _sqrt2_horner(ints, x)
+            den = lcm * w ** (len(ints) - 1)
+            return Sqrt2Num(Fraction(p, den), Fraction(q, den))
         return _horner(self.coeffs, x, 1)
-
-    def compose_one_minus_x(self) -> "Poly":
-        """p(1 - x): the color-swap substitution p <-> q."""
-        one_minus_x = Poly((Fraction(1), Fraction(-1)))
-        result = Poly(())
-        power = Poly.constant(1)
-        for c in self.coeffs:
-            result = result + power * c
-            power = power * one_minus_x
-        return result
 
     # -- Sturm chains and real roots ----------------------------------------
 
@@ -419,9 +369,12 @@ class Poly:
         squarefree part changes sign across it (always true for an interval
         produced by :meth:`isolate_roots_open` with non-root endpoints).
         The bisection runs on integer numerators over one denominator,
-        the common denominator of lo and hi doubled at each halving.
+        the common denominator of lo and hi doubled at each halving.  The
+        width must be positive and exact: at 0 the bisection would not end.
         """
-        lo, hi = exact_fraction(lo), exact_fraction(hi)
+        lo, hi, width = exact_fraction(lo), exact_fraction(hi), exact_fraction(width)
+        if width <= 0:
+            raise ValueError("width must be positive")
         if lo == hi:
             return lo, hi
         sf = self._sturm[0]
@@ -431,7 +384,6 @@ class Poly:
         slo, shi = _int_sign(sf, a, den), _int_sign(sf, b, den)
         if slo == 0 or shi == 0 or slo == shi:
             raise ValueError("interval endpoints must straddle a sign change")
-        width = Fraction(width)
         # (b - a) / den >= width, cross-multiplied
         while (b - a) * width.denominator >= width.numerator * den:
             a, b, den = 2 * a, 2 * b, 2 * den
@@ -573,11 +525,27 @@ def _int_sign(cs: Sequence[int], a: int, b: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _sqrt2_horner(cs: Sequence[int], x: Sqrt2Num) -> tuple[int, int, int]:
+    """(P, Q, w) with w the lcm of the denominators of x = (u + v sqrt2)/w
+    and P + Q sqrt2 = sum_j cs[j] (u + v sqrt2)^j w^(d-j), d = len(cs) - 1:
+    w^d times the value at x, on integers alone."""
+    w = math.lcm(x.a.denominator, x.b.denominator)
+    u = x.a.numerator * (w // x.a.denominator)
+    v = x.b.numerator * (w // x.b.denominator)
+    p = q = 0
+    wpow = 1
+    for c in reversed(cs):
+        p, q = p * u + 2 * q * v + c * wpow, p * v + q * u
+        wpow *= w
+    return p, q, w
+
+
 def _sign_at(cs: Sequence[int], x: Number) -> int:
-    """Exact sign at x: an integer Horner sum when x is rational, else the
-    sign of the same Horner sum in Q(sqrt 2)."""
+    """Exact sign at x: that of an integer Horner sum, rational or in
+    Q(sqrt 2) (w^d > 0 keeps the sign)."""
     if isinstance(x, Sqrt2Num):
-        return number_sign(_horner(cs, x, 1))
+        p, q, _w = _sqrt2_horner(cs, x)
+        return _sign(p, q)
     return _int_sign(cs, x.numerator, x.denominator)
 
 

@@ -239,6 +239,13 @@ def test_dominance_rejects_mismatched_lengths():
         dominance(sig("0110"), sig("022210"))
 
 
+@pytest.mark.parametrize("other", ["022210", "024001"], ids=["equal", "different"])
+def test_dominance_checks_the_interval_first(other):
+    # an empty interval is refused before the equal-class shortcut
+    with pytest.raises(ValueError, match="lo < hi"):
+        dominance(sig("022210"), sig(other), (Fraction(1), Fraction(0)))
+
+
 # ---------------------------------------------------------------------------
 # Dominance graph
 # ---------------------------------------------------------------------------
@@ -355,8 +362,10 @@ def test_psi_five_continuity_at_breakpoints():
 def test_psi_five_color_swap_symmetry():
     # psi(p) == psi(1 - p): pieces mirror around 1/2
     psi = psi_closed_form(5)
-    assert psi.pieces[0].compose_one_minus_x() == psi.pieces[3]
-    assert psi.pieces[1].compose_one_minus_x() == psi.pieces[2]
+    # degree 5: agreement at six points is identity
+    for t in range(6):
+        assert psi.pieces[0](1 - t) == psi.pieces[3](t)
+        assert psi.pieces[1](1 - t) == psi.pieces[2](t)
 
 
 def test_psi_rejects_out_of_range():

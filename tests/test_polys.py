@@ -1,4 +1,4 @@
-"""Exact polynomial and Q(sqrt 2) arithmetic tests."""
+"""Exact polynomial and Q(sqrt 2) evaluation and ordering tests."""
 
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ from hatgame.polys import (
     SQRT2_MINUS_1,
     Sqrt2Num,
     TWO_MINUS_SQRT2,
+    _sign_at,
     decimal_str,
 )
 
@@ -25,14 +26,14 @@ def F(a, b=1):
 
 
 def test_sqrt2_squares_to_two():
-    assert SQRT2 * SQRT2 == Sqrt2Num(2)
+    assert Poly.from_coeffs([0, 0, 1])(SQRT2) == Sqrt2Num(2)
 
 
 def test_breakpoint_identities():
-    assert SQRT2_MINUS_1 + 1 == SQRT2
-    assert TWO_MINUS_SQRT2 == 2 - SQRT2
-    # the two breakpoints mirror around 1/2: (sqrt2-1) + (2-sqrt2) = 1
-    assert SQRT2_MINUS_1 + TWO_MINUS_SQRT2 == Sqrt2Num(1)
+    assert Poly.from_coeffs([1, 1])(SQRT2_MINUS_1) == SQRT2
+    assert Poly.from_coeffs([2, -1])(SQRT2) == TWO_MINUS_SQRT2
+    # the two breakpoints mirror around 1/2: 1 - (sqrt2-1) = 2-sqrt2
+    assert Poly.from_coeffs([1, -1])(SQRT2_MINUS_1) == TWO_MINUS_SQRT2
     # minimal polynomial: x^2 - 4x + 2 vanishes at 2 - sqrt2
     poly = Poly.from_coeffs([2, -4, 1])
     assert poly(TWO_MINUS_SQRT2) == Sqrt2Num(0)
@@ -69,7 +70,7 @@ def test_rational_comparison_matches_embedding(a, b, r):
     assert (x <= r) == (x <= boxed) and (r <= x) == (boxed <= x)
     assert (x == r) == (x == boxed) and (r == x) == (boxed == x)
     assert (x > r) == (x > boxed) and (r > x) == (boxed > x)
-    assert (x < r) == ((x - boxed).sign() < 0)
+    assert (x < r) == (Sqrt2Num(a - r, b).sign() < 0)
 
 
 def test_rational_interop():
@@ -78,7 +79,11 @@ def test_rational_interop():
     assert not SQRT2.is_rational
     with pytest.raises(ValueError):
         SQRT2.as_fraction()
-    assert Sqrt2Num(F(1, 3)) + F(2, 3) == Sqrt2Num(1)
+    assert Sqrt2Num(F(1, 3)) == F(1, 3) == Sqrt2Num(F(1, 3), 0)
+    assert hash(Sqrt2Num(F(1, 3))) == hash(F(1, 3))
+    # an exact ordered value: evaluation goes through Poly, not operators
+    with pytest.raises(TypeError):
+        SQRT2 + 1
 
 
 @pytest.mark.parametrize(
@@ -90,8 +95,9 @@ def test_rational_interop():
         lambda: Poly.constant(0.1),
         lambda: Poly.x().count_roots_open(0.0, 1),
         lambda: Poly.x().isolate_roots_open(-1, 0.5),
+        lambda: Poly.from_coeffs([-2, 0, 1]).refine_root(1, 2, 0.5),
     ],
-    ids=["a", "b", "coeffs", "constant", "count", "isolate"],
+    ids=["a", "b", "coeffs", "constant", "count", "isolate", "refine"],
 )
 def test_floats_are_refused(build):
     with pytest.raises(TypeError, match="inexact float"):
@@ -119,18 +125,33 @@ def test_poly_arithmetic():
     assert (2 * x + 1) ** 2 == Poly.from_coeffs([1, 4, 4])
 
 
-def test_poly_compose_one_minus_x():
-    x = Poly.x()
-    p = x**2 + 3 * x
-    q = p.compose_one_minus_x()
-    for v in (F(0), F(1, 3), F(7, 5)):
-        assert q(v) == p(1 - v)
-
-
 def test_poly_evaluation_in_quadratic_field():
     # (x^2 - 2) vanishes exactly at sqrt 2
     p = Poly.from_coeffs([-2, 0, 1])
     assert p(SQRT2) == Sqrt2Num(0)
+    # the zero polynomial gives a zero of the argument's type
+    for x, zero in ((SQRT2, Sqrt2Num(0)), (F(1, 3), F(0)), (3, 0), (-1.5, -0.0)):
+        value = Poly(())(x)
+        assert type(value) is type(zero) and value == zero
+
+
+def _pair_horner(cs, a, b):
+    """sum_j cs[j] (a + b sqrt2)^j as a pair of Fractions, by the product
+    rule (p + q sqrt2)(a + b sqrt2) = (pa + 2qb) + (pb + qa) sqrt2."""
+    p = q = F(0)
+    for c in reversed(cs):
+        p, q = p * a + 2 * q * b + c, p * b + q * a
+    return p, q
+
+
+@given(hst.lists(rationals, max_size=7), rationals, rationals)
+def test_quadratic_evaluation_matches_fraction_pairs(cs, a, b):
+    # the integer kernel against Horner in Fraction pairs
+    poly, x = Poly.from_coeffs(cs), Sqrt2Num(a, b)
+    p, q = _pair_horner(poly.coeffs, a, b)
+    value = poly(x)
+    assert type(value) is Sqrt2Num and (value.a, value.b) == (p, q)
+    assert _sign_at(poly._integer_coeffs[0], x) == Sqrt2Num(p, q).sign()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +224,7 @@ ISOLATION_PINS = [
      [(F(1, 2), F(9, 4)), (F(9, 4), F(4))]),
     ("sqrt2 lo is a root", Poly.from_coeffs([2, -4, 1]), TWO_MINUS_SQRT2, F(4),
      [(F(2), F(4))]),
-    ("sqrt2 hi", Poly.from_coeffs([-2, 0, 1]), F(0), SQRT2 + 1,
+    ("sqrt2 hi", Poly.from_coeffs([-2, 0, 1]), F(0), Sqrt2Num(1, 1),
      [(F(0), F(3, 2))]),
 ]
 
@@ -223,14 +244,14 @@ def test_isolate_roots_with_quadratic_endpoints():
     p = Poly.from_coeffs([2, -4, 1])
     both = p.isolate_roots_open(SQRT2_MINUS_1, F(4))
     assert len(both) == 2
-    for (lo, hi), root in zip(both, (TWO_MINUS_SQRT2, 2 + SQRT2)):
+    for (lo, hi), root in zip(both, (TWO_MINUS_SQRT2, Sqrt2Num(2, 1))):
         assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
         assert SQRT2_MINUS_1 < lo < root < hi <= 4
         assert p(lo) != 0 and p(hi) != 0
     # an endpoint that is a root is excluded: only 2 + sqrt2 is left
     ((lo, hi),) = p.isolate_roots_open(TWO_MINUS_SQRT2, F(4))
     assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
-    assert TWO_MINUS_SQRT2 < lo < 2 + SQRT2 < hi <= 4
+    assert TWO_MINUS_SQRT2 < lo < Sqrt2Num(2, 1) < hi <= 4
 
 
 def test_refine_root_width():
@@ -241,9 +262,18 @@ def test_refine_root_width():
     assert Sqrt2Num(lo) < SQRT2 < Sqrt2Num(hi)
 
 
+@pytest.mark.parametrize("width", [F(0), F(-1, 10)], ids=["zero", "negative"])
+def test_refine_root_refuses_width_at_most_zero(width):
+    # the bisection would never reach a width <= 0
+    with pytest.raises(ValueError, match="width"):
+        Poly.from_coeffs([-2, 0, 1]).refine_root(1, 2, width)
+
+
 #: Quadratic endpoints around the roots +-sqrt 2 of x^2 - 2 and the
 #: breakpoints of the five-player curve.
-SQRT2_ENDS = [SQRT2_MINUS_1, TWO_MINUS_SQRT2, SQRT2, -SQRT2, SQRT2 + 1, 1 - SQRT2]
+SQRT2_ENDS = [
+    SQRT2_MINUS_1, TWO_MINUS_SQRT2, SQRT2, Sqrt2Num(0, -1), Sqrt2Num(1, 1), Sqrt2Num(1, -1)
+]
 
 
 @given(
@@ -266,7 +296,7 @@ def test_root_isolation_against_known_roots(factors, sqrt2_power, lead, digits, 
         poly = poly * (b * x - a) ** m
     roots = {Sqrt2Num(F(a, b)) for a, b, _ in factors}
     if sqrt2_power:
-        roots |= {SQRT2, -SQRT2}
+        roots |= {SQRT2, Sqrt2Num(0, -1)}
     roots = sorted(roots)
     if data is None:  # the examples: an interval around every root
         ends = [Sqrt2Num(-5), Sqrt2Num(5)]
