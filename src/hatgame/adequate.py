@@ -30,10 +30,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    MAX_PLAYERS,
     GameParams,
     HatGameError,
     ResourceLimitError,
+    _check_config,
+    _check_limit,
     score_table,
 )
 
@@ -50,10 +51,7 @@ class NoAdequateSetError(HatGameError, ValueError):
 def ball_mask(code: int, n: int) -> int:
     """Bitmask over all 2^n configurations of the radius-1 ball around
     ``code``: the configuration itself plus its n single-bit flips."""
-    if not 2 <= n <= MAX_PLAYERS:
-        raise ValueError("n must be in [2, %d]" % MAX_PLAYERS)
-    if not 0 <= code < (1 << n):
-        raise ValueError("configuration %r out of range for n=%d" % (code, n))
+    _check_config(code, n)
     mask = 1 << code
     for k in range(n):
         mask |= 1 << (code ^ (1 << k))
@@ -239,11 +237,12 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
     once.  A finished cover is padded with every combination of the
     unbanned, unchosen elements.  A node is cut when more configurations
     are uncovered than the elements left can cover (n+1 each).  The
-    listing is built in memory and sorted once.  Refused for n > 5, where
-    the listings are beyond desk scale.
+    listing is built in memory and sorted once.  Refused beyond the two
+    listing rows of ``core._LIMITS``: up front by n, and as soon as the
+    sets built plus the paddings of the next finished cover would pass
+    the listed-sets row.
     """
-    if n > 5:
-        raise ResourceLimitError("adequate-set enumeration is supported for n <= 5")
+    _check_limit("adequate-set listing at n", n)
     h = 1 << n
     if not 1 <= size <= h:
         raise ValueError("size must be in [1, %d], got %r" % (h, size))
@@ -259,6 +258,8 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
             for e in chosen:
                 taken |= 1 << e
             free = [e for e in range(h) if not (taken >> e) & 1]
+            _check_limit("sets in one adequate-set listing",
+                         len(found) + math.comb(len(free), left))
             for extra in itertools.combinations(free, left):
                 found.append(tuple(sorted(chosen + extra)))
             return
@@ -280,8 +281,8 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
 def enumerate_adequate(n: int, size: int) -> Iterator[AdequateSet]:
     """Stream every adequate set of exactly ``size`` elements, in
     lexicographic order of element tuples, each validated once as an
-    :class:`AdequateSet`.  May be empty.  Refused for n > 5 (see
-    :func:`_cover_tuples`).
+    :class:`AdequateSet`.  May be empty.  Refused where
+    :func:`_cover_tuples` is.
 
     The listing of :func:`_cover_tuples` is built in full before the first
     set is yielded, so memory grows with the count: streaming all of n=5,
@@ -510,15 +511,13 @@ def min_cover_optimize(
 
     ``node_budget`` bounds the search-tree size for best-effort runs on
     larger n; exceeding it raises :class:`ResourceLimitError`.  Without a
-    budget, n > 6 is refused with :class:`ResourceLimitError` up front.
+    budget, n is refused up front beyond its row of ``core._LIMITS``.
     """
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
-    if n > 6 and node_budget is None:
-        raise ResourceLimitError(
-            "unbounded cover search is supported for n <= 6; pass a node_budget"
-        )
+    if node_budget is None:
+        _check_limit("cover search without a node budget at n", n)
     return _cover_search(n, params, node_budget=node_budget)
 
 
@@ -529,13 +528,11 @@ def min_cover_size(n: int) -> int:
 
     At p = 1/2 every configuration has the same probability, so the
     cheapest cover found by :func:`min_cover_optimize` is a smallest one.
-    Refused for n > 5, where the search takes too long.
+    Refused beyond its row of ``core._LIMITS``.
     """
-    if not 2 <= n <= MAX_PLAYERS:
-        raise ValueError("n must be in [2, %d]" % MAX_PLAYERS)
-    if n > 5:
-        raise ResourceLimitError("minimum cover sizes are supported for n <= 5")
-    return min_cover_optimize(n, GameParams(n, Fraction(1, 2)))[0].size
+    params = GameParams(n, Fraction(1, 2))
+    _check_limit("minimum cover size at n", n)
+    return min_cover_optimize(n, params)[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +563,13 @@ def size_sweep(
     which runs at the heavier color: the rows at p and 1 - p have equal
     sums, reversed signatures and complementary witnesses.
 
-    Rows whose size admits no adequate set carry ``None`` entries.  For
-    n >= 6 the search space is beyond desk scale and the call is refused.
+    Rows whose size admits no adequate set carry ``None`` entries.
+    Refused beyond its row of ``core._LIMITS``.
     """
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
-    if n > 5:
-        raise ResourceLimitError("size sweeps are supported for n <= 5")
+    _check_limit("size sweep at n", n)
     rows: list[SweepRow] = []
     for size in sizes:
         if not 1 <= size <= (1 << n):

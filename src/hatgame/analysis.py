@@ -30,7 +30,7 @@ from .adequate import (
     min_cover_optimize,
     min_cover_size,
 )
-from .core import GameParams, ResourceLimitError, exact_fraction
+from .core import _LIMITS, GameParams, _check_limit, exact_fraction
 from .polys import (
     Number,
     Poly,
@@ -266,16 +266,14 @@ def psi_closed_form(n: int) -> PiecewisePsi:
     raise ValueError("closed forms are available for n in {2, 3, 4, 5}")
 
 
-def psi_solver(n: int, params: GameParams, node_budget: int | None = 20_000_000) -> Fraction:
+def psi_solver(n: int, params: GameParams, node_budget: int | None = None) -> Fraction:
     """Maximum win probability computed from first principles:
     1 - (minimum probability over all adequate sets).
 
-    Exact and fast for n <= 5; n = 6 is attempted best-effort under a node
-    budget, which every p = k/20 fits with room to spare; larger n is
-    refused.
+    The search and its limits are those of :func:`min_cover_optimize`,
+    ``node_budget`` included: exact and fast for n <= 5, and at n = 6 about
+    2 s or less at every p = k/20.
     """
-    if n > 6:
-        raise ResourceLimitError("psi_solver supports n <= 6 (best effort at 6)")
     _, value = min_cover_optimize(n, params, node_budget=node_budget)
     return 1 - value
 
@@ -306,7 +304,7 @@ def psi_curve(
     grid row at or after it, which a bisection over k finds; grid rows in
     between take the piece they lie in.  A breakpoint row replaces the
     grid row it coincides with and is labelled "k|k+1", or "k" when it is
-    p_max.
+    p_max.  Refused for more steps than its row of ``core._LIMITS``.
     """
     p_min, p_max = exact_fraction(p_min), exact_fraction(p_max)
     if not (0 < p_min < p_max < 1):
@@ -314,6 +312,7 @@ def psi_curve(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     psi = psi_closed_form(n)
+    _check_limit("psi curve grid steps", steps)
     bps = psi.breakpoints
     den = math.lcm(p_min.denominator, p_max.denominator) * steps
     base = p_min.numerator * (den // p_min.denominator)
@@ -406,12 +405,12 @@ class CoveringReport:
 
 
 def covering_check(n: int) -> CoveringReport:
-    """Check min loss-set size == K(n, 1); computed directly for n <= 5,
-    table-only beyond."""
+    """Check min loss-set size == K(n, 1); computed directly up to the
+    minimum-cover-size row of ``core._LIMITS``, table-only beyond."""
     if n not in COVERING_CODE_SIZE:
         raise ValueError("covering-code sizes are tabulated for n in 2..9")
     k = COVERING_CODE_SIZE[n]
-    computed = min_cover_size(n) if n <= 5 else None
+    computed = min_cover_size(n) if n <= _LIMITS["minimum cover size at n"] else None
     return CoveringReport(
         n_players=n,
         computed_min_size=computed,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import heapq
-import io
 import itertools
 import json
 import os
@@ -36,6 +35,7 @@ from .core import (
     DecisionMatrix,
     GameParams,
     ResourceLimitError,
+    _check_limit,
     evaluate_matrix,
 )
 from .polys import Number, Sqrt2Num, decimal_str
@@ -94,12 +94,11 @@ def _exact_str(value: Number) -> str:
     return rational_str(value)
 
 
-def _csv_out(rows, header):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(header, rows):
+    """Write a header and rows to stdout as csv, rows as they come."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def _csv_out(rows, header):
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> None:
     """Stream the listing: each class of :func:`_signature_groups` is
     priced once, and the classes' tuples, each class already
     lexicographic, are merged in order, so rows are written as they are
@@ -139,30 +138,24 @@ def cmd_enumerate(args) -> int:
             }
             out.write((", " if k else "") + json.dumps(item))
         out.write("]}\n")
-        return EXIT_OK
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
+        return
+    _write_csv(
         ["i%d" % (k + 1) for k in range(size)]
         + ["sum", "sum_exact"]
-        + ["z%d" % (k + 1) for k in range(size)]
+        + ["z%d" % (k + 1) for k in range(size)],
+        (
+            list(elems) + [dec, exact] + [n - e.bit_count() for e in elems]
+            for elems, (dec, exact) in records
+        ),
     )
-    writer.writerows(
-        list(elems) + [dec, exact] + [n - e.bit_count() for e in elems]
-        for elems, (dec, exact) in records
-    )
-    return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     n = args.n
-    if n > 5:
-        raise ResourceLimitError("guaranteed-optimal solving is supported for n <= 5")
-    if args.all_matrices and n > 3:
-        raise ResourceLimitError(
-            "--all-matrices enumerates a constrained strategy space; "
-            "supported for n <= 3"
-        )
     params = GameParams(n, args.p)
+    if args.all_matrices:
+        # checked before any output: the text format prints as it goes
+        _check_limit("all matrices of a set at n", n)
     size = min_cover_size(n)
     sets, min_sum = optimal_sets(n, params, size)
     psi = 1 - min_sum
@@ -191,7 +184,7 @@ def cmd_solve(args) -> int:
                 for aset in sets
             ]
         print(json.dumps(payload))
-        return EXIT_OK
+        return
     print("n = %d" % n)
     print("p = %s = %s" % (decimal_str(params.p_white), rational_str(params.p_white)))
     print("psi = %s = %s" % (decimal_str(psi), rational_str(psi)))
@@ -216,10 +209,9 @@ def cmd_solve(args) -> int:
             for m in everything:
                 print(m.to_text())
                 print()
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     with open(args.matrix) as handle:
         text = handle.read()
     matrix = DecisionMatrix.from_text(text)
@@ -243,10 +235,9 @@ def cmd_evaluate(args) -> int:
         )
     else:
         print("win_probability = %s = %s" % (decimal_str(value), rational_str(value)))
-    return EXIT_OK
 
 
-def cmd_brute(args) -> int:
+def cmd_brute(args) -> None:
     n = args.n
     params = GameParams(n, args.p)
     best, matrices = brute_force_optimal(n, params)
@@ -265,17 +256,16 @@ def cmd_brute(args) -> int:
                 }
             )
         )
-        return EXIT_OK
+        return
     print("max = %s = %s" % (decimal_str(best), rational_str(best)))
     print("optimal matrices = %d" % len(matrices))
     print("non-isomorphic = %d" % len(reps))
     for m in matrices:
         print()
         print(m.to_text())
-    return EXIT_OK
 
 
-def cmd_psi(args) -> int:
+def cmd_psi(args) -> None:
     n = args.n
     rows = analysis.psi_curve(n, args.pmin, args.pmax, args.steps)
     if args.format == "json":
@@ -290,13 +280,14 @@ def cmd_psi(args) -> int:
             for r in rows
         ]
         print(json.dumps({"n": n, "points": payload}))
-        return EXIT_OK
-    out = [[decimal_str(r.p), decimal_str(r.psi), r.piece] for r in rows]
-    sys.stdout.write(_csv_out(out, ["p", "psi", "piece"]))
-    return EXIT_OK
+        return
+    _write_csv(
+        ["p", "psi", "piece"],
+        ([decimal_str(r.p), decimal_str(r.psi), r.piece] for r in rows),
+    )
 
 
-def cmd_dominance(args) -> int:
+def cmd_dominance(args) -> None:
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
             raise ValueError("--a and --b must be given together")
@@ -324,7 +315,7 @@ def cmd_dominance(args) -> int:
                     "  root in [%s, %s] ~ %s"
                     % (rational_str(lo), rational_str(hi), decimal_str((lo + hi) / 2))
                 )
-        return EXIT_OK
+        return
     graph = analysis.dominance_graph(args.n)
     if args.format == "json":
         print(
@@ -358,10 +349,9 @@ def cmd_dominance(args) -> int:
         )
     else:
         print(graph.to_dot())
-    return EXIT_OK
 
 
-def cmd_complexity(args) -> int:
+def cmd_complexity(args) -> None:
     rows = analysis.complexity_table()
     if args.format == "json":
         print(
@@ -381,39 +371,35 @@ def cmd_complexity(args) -> int:
                 ]
             )
         )
-        return EXIT_OK
-    out = [
+        return
+    _write_csv(
         [
-            r.n_players,
-            r.min_size,
-            r.full_strategies,
-            r.full_sci,
-            r.reduced_strategies,
-            r.reduced_sci,
-            r.candidate_sets,
-            r.candidate_sci,
-        ]
-        for r in rows
-    ]
-    sys.stdout.write(
-        _csv_out(
-            out,
+            "n",
+            "das",
+            "full",
+            "full_sci",
+            "reduced",
+            "reduced_sci",
+            "subsets",
+            "subsets_sci",
+        ],
+        (
             [
-                "n",
-                "das",
-                "full",
-                "full_sci",
-                "reduced",
-                "reduced_sci",
-                "subsets",
-                "subsets_sci",
-            ],
-        )
+                r.n_players,
+                r.min_size,
+                r.full_strategies,
+                r.full_sci,
+                r.reduced_strategies,
+                r.reduced_sci,
+                r.candidate_sets,
+                r.candidate_sci,
+            ]
+            for r in rows
+        ),
     )
-    return EXIT_OK
 
 
-def cmd_covering(args) -> int:
+def cmd_covering(args) -> None:
     ns = [args.n] if args.n is not None else list(range(2, 10))
     reports = [analysis.covering_check(n) for n in ns]
     if args.format == "json":
@@ -436,28 +422,24 @@ def cmd_covering(args) -> int:
                 ]
             )
         )
-        return EXIT_OK
-    out = [
-        [
-            r.n_players,
-            "" if r.computed_min_size is None else r.computed_min_size,
-            r.covering_code_size,
-            "" if r.agrees is None else str(r.agrees).lower(),
-            decimal_str(r.symmetric_win_probability),
-            rational_str(r.symmetric_win_probability),
-        ]
-        for r in reports
-    ]
-    sys.stdout.write(
-        _csv_out(
-            out,
-            ["n", "computed_min_das", "K", "agrees", "max_prob", "max_prob_exact"],
-        )
+        return
+    _write_csv(
+        ["n", "computed_min_das", "K", "agrees", "max_prob", "max_prob_exact"],
+        (
+            [
+                r.n_players,
+                "" if r.computed_min_size is None else r.computed_min_size,
+                r.covering_code_size,
+                "" if r.agrees is None else str(r.agrees).lower(),
+                decimal_str(r.symmetric_win_probability),
+                rational_str(r.symmetric_win_probability),
+            ]
+            for r in reports
+        ),
     )
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     n = args.n
     params = GameParams(n, args.p)
     if args.das_range is not None:
@@ -481,18 +463,19 @@ def cmd_sweep(args) -> int:
                 ]
             )
         )
-        return EXIT_OK
-    out = [
-        [
-            r.size,
-            "" if r.signature is None else r.signature.compact(),
-            "" if r.min_sum is None else decimal_str(r.min_sum),
-            "" if r.min_sum is None else rational_str(r.min_sum),
-        ]
-        for r in rows
-    ]
-    sys.stdout.write(_csv_out(out, ["das", "signature", "sum", "sum_exact"]))
-    return EXIT_OK
+        return
+    _write_csv(
+        ["das", "signature", "sum", "sum_exact"],
+        (
+            [
+                r.size,
+                "" if r.signature is None else r.signature.compact(),
+                "" if r.min_sum is None else decimal_str(r.min_sum),
+                "" if r.min_sum is None else rational_str(r.min_sum),
+            ]
+            for r in rows
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +561,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        args.func(args)
         sys.stdout.flush()
-        return status
+        return EXIT_OK
     except ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE

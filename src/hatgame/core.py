@@ -61,6 +61,30 @@ class ResourceLimitError(HatGameError):
     supported problem size."""
 
 
+#: The largest size at which each operation is known to finish at desk
+#: scale.  Every size refusal in the package reads this one table through
+#: :func:`_check_limit`, before the operation builds anything.
+_LIMITS = {
+    "adequate-set listing at n": 5,
+    "sets in one adequate-set listing": 500_000,
+    "size sweep at n": 5,
+    "minimum cover size at n": 5,
+    "cover search without a node budget at n": 6,
+    "all matrices of a set at n": 4,
+    "FREE cells in an invariance check": 12,
+    "psi curve grid steps": 100_000,
+}
+
+
+def _check_limit(operation: str, size: int) -> None:
+    """Refuse ``operation`` at ``size`` beyond its row of the table."""
+    limit = _LIMITS[operation]
+    if size > limit:
+        raise ResourceLimitError(
+            "%s is supported up to %d, got %d" % (operation, limit, size)
+        )
+
+
 def exact_fraction(value) -> Fraction:
     """Convert ``value`` to an exact Fraction, rejecting floats.
 

@@ -248,26 +248,26 @@ class Poly:
         return tuple(c.numerator * (lcm // c.denominator) for c in self.coeffs), lcm
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int, Sqrt2Num and float.
+        """Exact Horner evaluation at an int, Fraction or Sqrt2Num; any
+        other x goes through :func:`hatgame.core.exact_fraction` first, so
+        a float raises ``TypeError``.
 
         A rational x = a/b takes the integer sum sum_j C_j a^j b^(d-j) of
         :func:`_horner` over the integer coefficients C_j of
         :attr:`_integer_coeffs`, and one Fraction at the end; a Sqrt2Num
         takes the integer pair of :func:`_sqrt2_horner` over the same C_j,
-        and one Fraction per part.  A float takes the sum over the
-        coefficients themselves in float arithmetic, so it rounds as a
-        plain float Horner loop does."""
+        and one Fraction per part."""
+        if not isinstance(x, (int, Fraction, Sqrt2Num)):
+            x = exact_fraction(x)
         if not self.coeffs:
             return Sqrt2Num(0) if isinstance(x, Sqrt2Num) else x * 0
         ints, lcm = self._integer_coeffs
-        if isinstance(x, (int, Fraction)):
-            acc = _horner(ints, x.numerator, x.denominator)
-            return Fraction(acc, lcm * x.denominator ** (len(ints) - 1))
         if isinstance(x, Sqrt2Num):
             p, q, w = _sqrt2_horner(ints, x)
             den = lcm * w ** (len(ints) - 1)
             return Sqrt2Num(Fraction(p, den), Fraction(q, den))
-        return _horner(self.coeffs, x, 1)
+        acc = _horner(ints, x.numerator, x.denominator)
+        return Fraction(acc, lcm * x.denominator ** (len(ints) - 1))
 
     # -- Sturm chains and real roots ----------------------------------------
 

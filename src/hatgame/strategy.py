@@ -31,8 +31,8 @@ from .core import (
     PASS,
     DecisionMatrix,
     GameParams,
-    ResourceLimitError,
     _cells,
+    _check_limit,
     _guess_masks,
     _outcome,
     evaluate_matrix,
@@ -145,9 +145,11 @@ def all_matrices_for_set(aset: AdequateSet) -> list[DecisionMatrix]:
     configurations have all their cells assigned (those whose last
     player's cell is).  A branch is cut as soon as a winning configuration
     holds a wrong guess, a complete winning configuration holds no right
-    one, or a complete losing configuration is won.
+    one, or a complete losing configuration is won.  Refused up front
+    beyond its row of ``core._LIMITS``.
     """
     n = aset.n_players
+    _check_limit("all matrices of a set at n", n)
     lose = sum(1 << code for code in aset.elements)
     win = (1 << (1 << n)) - 1 & ~lose
     # per cell: the configurations it completes, and each decision with
@@ -246,22 +248,17 @@ def dedupe_player_permutation(
 # FREE-cell invariance
 # ---------------------------------------------------------------------------
 
-_EXHAUSTIVE_FREE_LIMIT = 12
-
 
 def free_invariance_check(matrix: DecisionMatrix, params: GameParams) -> bool:
     """Is the matrix value independent of how FREE cells are resolved?
 
     Exhaustive over all 3^k substitutions; refused up front when the
-    matrix has more than 12 FREE cells (the synthesizer produces at most 8
-    at supported n, so only hand-built inputs get there).
+    matrix has more FREE cells than its row of ``core._LIMITS`` allows (the
+    synthesizer produces at most 8 at supported n, so only hand-built
+    inputs get there).
     """
     cells = matrix.free_cells()
-    if len(cells) > _EXHAUSTIVE_FREE_LIMIT:
-        raise ResourceLimitError(
-            "FREE-cell invariance is checked for at most %d FREE cells, got %d"
-            % (_EXHAUSTIVE_FREE_LIMIT, len(cells))
-        )
+    _check_limit("FREE cells in an invariance check", len(cells))
     if not cells:
         return True
     reference = evaluate_matrix(matrix.substitute_free(PASS), params)

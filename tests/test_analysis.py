@@ -414,6 +414,13 @@ def test_solver_resource_limits():
         psi_solver(5, GameParams(5, NINE_TENTHS), node_budget=2)
 
 
+def test_solver_budget_past_the_unbounded_row():
+    # a budget lifts the n row of the unbounded search, and the budget
+    # then stops it (at 1/2 the n = 7 search ends at its root)
+    with pytest.raises(ResourceLimitError, match="node budget"):
+        psi_solver(7, GameParams(7, Fraction(3, 5)), node_budget=10)
+
+
 # ---------------------------------------------------------------------------
 # psi curve
 # ---------------------------------------------------------------------------

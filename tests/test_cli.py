@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import hatgame
+from hatgame.adequate import _signature_groups, optimal_sets
 from hatgame.cli import main, parse_probability, parse_size_range
+from hatgame.core import _LIMITS, GameParams
+from hatgame.strategy import all_matrices_for_set
 
 
 def run(capsys, *argv):
@@ -162,6 +165,18 @@ def test_solve_resource_limit(capsys):
     code, _, err = run(capsys, "solve", "--n", "6", "--p", "0.5")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_solve_all_matrices_four_players(capsys):
+    code, out, _ = run(capsys, "solve", "--n", "4", "--p", "1/2",
+                       "--all-matrices", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nasopt"] == 40
+    counts = [len(group) for group in payload["all_matrices"]]
+    assert sum(counts) == 2088
+    sets = optimal_sets(4, GameParams(4, Fraction(1, 2)), 4)[0]
+    assert counts == [len(all_matrices_for_set(aset)) for aset in sets]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -355,6 +370,24 @@ def test_sweep_default_range_refused_for_six_players(capsys):
 
 def test_enumerate_refused_for_six_players(capsys):
     code, out, err = run(capsys, "enumerate", "--n", "6", "--das", "12")
+    assert code == 3
+    assert out == ""
+    assert "resource limit" in err
+
+
+def test_enumerate_refused_past_the_listed_sets_row(capsys, monkeypatch):
+    # n = 5, size 8 lists 24 340 sets; refused once 1 000 would be passed
+    monkeypatch.setitem(_LIMITS, "sets in one adequate-set listing", 1000)
+    _signature_groups.cache_clear()  # a cached listing is not built again
+    code, out, err = run(capsys, "enumerate", "--n", "5", "--das", "8")
+    assert code == 3
+    assert out == ""
+    assert "resource limit: sets in one adequate-set listing" in err
+
+
+def test_psi_refused_past_the_grid_steps_row(capsys):
+    code, out, err = run(capsys, "psi", "--n", "5", "--pmin", "0.01",
+                         "--pmax", "0.99", "--steps", "100001")
     assert code == 3
     assert out == ""
     assert "resource limit" in err

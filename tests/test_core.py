@@ -1,17 +1,29 @@
 """Core model tests: configurations, scores, probabilities, matrices."""
 
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as hst
 
+from hatgame.adequate import (
+    AdequateSet,
+    enumerate_adequate,
+    min_cover_optimize,
+    min_cover_size,
+    size_sweep,
+)
+from hatgame.analysis import psi_curve
 from hatgame.core import (
+    _LIMITS,
     FREE,
     GUESS_BLACK,
     GUESS_WHITE,
     PASS,
     DecisionMatrix,
     GameParams,
+    ResourceLimitError,
     all_pass_matrix,
     bits,
     code_from_bits,
@@ -24,6 +36,7 @@ from hatgame.core import (
     score_vector,
     wins,
 )
+from hatgame.strategy import all_matrices_for_set, free_invariance_check
 
 HALF = Fraction(1, 2)
 NINE_TENTHS = Fraction(9, 10)
@@ -265,3 +278,61 @@ def test_generated_matrices_free_rule_irrelevant(p):
             for d in (GUESS_BLACK, PASS, GUESS_WHITE)
         }
         assert len(values) == 1
+
+
+# ---------------------------------------------------------------------------
+# The table of limits
+# ---------------------------------------------------------------------------
+
+
+def _matrix_with_free_cells(k):
+    """A four-player matrix whose first k cells are FREE."""
+    cells = [FREE] * k + [PASS] * (32 - k)
+    return DecisionMatrix(tuple(tuple(cells[8 * i : 8 * i + 8]) for i in range(4)))
+
+
+def _no_tables(*args):
+    raise AssertionError("built a table before refusing")
+
+
+#: Per row of ``_LIMITS``: a limit to patch in (None keeps the table's) and
+#: a function that takes one past the limit, builds the inputs there and
+#: returns the call that must be refused.
+LIMIT_CASES = {
+    "adequate-set listing at n": (
+        None, lambda n: lambda: list(enumerate_adequate(n, 12))),
+    # n = 4, size 5 lists 560 sets, one past the patched row
+    "sets in one adequate-set listing": (
+        559, lambda count: lambda: list(enumerate_adequate(4, 5))),
+    "size sweep at n": (
+        None, lambda n: partial(size_sweep, n, (12,), GameParams(n, HALF))),
+    "minimum cover size at n": (None, lambda n: partial(min_cover_size, n)),
+    "cover search without a node budget at n": (
+        None, lambda n: partial(min_cover_optimize, n, GameParams(n, HALF))),
+    "all matrices of a set at n": (
+        None, lambda n: partial(all_matrices_for_set, AdequateSet(range(1 << n), n))),
+    "FREE cells in an invariance check": (
+        None, lambda k: partial(free_invariance_check, _matrix_with_free_cells(k),
+                                GameParams(4, HALF))),
+    "psi curve grid steps": (
+        None, lambda steps: partial(psi_curve, 5, Fraction(1, 100), Fraction(99, 100), steps)),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_LIMITS))
+def test_every_limit_refuses_one_past_it(monkeypatch, row):
+    limit, build = LIMIT_CASES[row]
+    if limit is None:
+        limit = _LIMITS[row]
+    else:
+        monkeypatch.setitem(_LIMITS, row, limit)
+    call = build(limit + 1)
+    if row != "sets in one adequate-set listing":
+        # refused before any ball or cell table is built, or any matrix
+        # evaluated
+        for name in ("hatgame.adequate._balls", "hatgame.strategy._cells",
+                     "hatgame.strategy.evaluate_matrix"):
+            monkeypatch.setattr(name, _no_tables)
+    message = "%s is supported up to %d, got %d" % (row, limit, limit + 1)
+    with pytest.raises(ResourceLimitError, match="^%s$" % re.escape(message)):
+        call()
