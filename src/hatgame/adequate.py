@@ -35,6 +35,7 @@ from .core import (
     ResourceLimitError,
     _check_config,
     _check_limit,
+    _check_n,
     score_table,
 )
 
@@ -61,6 +62,15 @@ def ball_mask(code: int, n: int) -> int:
 @lru_cache(maxsize=32)
 def _balls(n: int) -> tuple[int, ...]:
     return tuple(ball_mask(code, n) for code in range(1 << n))
+
+
+@lru_cache(maxsize=32)
+def _popcount_masks(n: int) -> tuple[int, ...]:
+    """Bitmask of the configurations of each popcount 0..n."""
+    masks = [0] * (n + 1)
+    for code in range(1 << n):
+        masks[code.bit_count()] |= 1 << code
+    return tuple(masks)
 
 
 def _full_mask(n: int) -> int:
@@ -240,8 +250,11 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
     listing is built in memory and sorted once.  Refused beyond the two
     listing rows of ``core._LIMITS``: up front by n, and as soon as the
     sets built plus the paddings of the next finished cover would pass
-    the listed-sets row.
+    the listed-sets row; that count is a lower bound on the listing's
+    size, and the refusal says so.  An n outside [2, MAX_PLAYERS] is a
+    ``ValueError`` before either.
     """
+    _check_n(n)
     _check_limit("adequate-set listing at n", n)
     h = 1 << n
     if not 1 <= size <= h:
@@ -259,7 +272,7 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
                 taken |= 1 << e
             free = [e for e in range(h) if not (taken >> e) & 1]
             _check_limit("sets in one adequate-set listing",
-                         len(found) + math.comb(len(free), left))
+                         len(found) + math.comb(len(free), left), at_least=True)
             for extra in itertools.combinations(free, left):
                 found.append(tuple(sorted(chosen + extra)))
             return
@@ -344,6 +357,39 @@ def optimal_sets(
 # ---------------------------------------------------------------------------
 
 
+def _layer_prices(n: int, weights: Sequence[int]) -> list[int]:
+    """Dual prices of the cover LP, scaled by n+1, one per layer: the
+    configurations with z white hats, which weigh ``weights[z]``.
+
+    An element of layer j covers one configuration of layer j, j of layer
+    j-1 and n-j of layer j+1, and its dual constraint is that the prices
+    of its ball sum to at most (n+1) times its weight.  Each layer starts
+    at its cheapest coverer's weight, which keeps every constraint; then,
+    lightest layer first, each is raised by as much as the slack of the
+    element layers covering it allows.  The prices stay feasible and never
+    fall below the starting ones.
+    """
+    # the 0 appended prices the layers -1 and n+1, which hold nothing
+    prices = [min(weights[max(k - 1, 0):k + 2]) for k in range(n + 1)] + [0]
+    slack = [(n + 1) * weights[j] - j * prices[j - 1] - prices[j]
+             - (n - j) * prices[j + 1] for j in range(n + 1)]
+    for k in sorted(range(n + 1), key=weights.__getitem__):
+        # layer k holds n-k+1 configurations of a ball of layer k-1, one of
+        # a ball of its own and k+1 of a ball of layer k+1
+        step = slack[k]
+        if k > 0:
+            step = min(step, slack[k - 1] // (n - k + 1))
+        if k < n:
+            step = min(step, slack[k + 1] // (k + 1))
+        prices[k] += step
+        slack[k] -= step
+        if k > 0:
+            slack[k - 1] -= (n - k + 1) * step
+        if k < n:
+            slack[k + 1] -= (k + 1) * step
+    return prices[:-1]
+
+
 def _cover_search(
     n: int,
     params: GameParams,
@@ -381,19 +427,31 @@ def _cover_search(
     at nodes that pass the bounds and dropped once all n differ, since
     choosing more elements only splits them further.
 
-    Over all sizes, the search starts from a greedy cover.  Its bound is
-    the larger of the cheapest coverer of the lowest uncovered
-    configuration and a dual bound: each configuration is priced at its
-    cheapest coverer's weight, and as no element covers more than n+1
-    configurations nor weighs less than their prices, the uncovered prices
-    summed and divided by n+1 (rounded up) bound the cost of the rest.
-    All weights are positive, so the optimum is irredundant.  At a fixed
-    size, each finished cover is padded with the cheapest unchosen elements
-    (the best padding of that cover), and the bound adds a counting bound
-    (each element covers at most n+1 configurations) to the cheapest
-    unchosen elements.  The witness is the greedy cover if it ties the
-    optimum, else the first optimum in search order.  Exceeding
-    ``node_budget`` raises :class:`ResourceLimitError`.
+    Over all sizes, the search starts from a greedy cover, and its
+    incumbent is one more than the weight of the greedy cover's
+    irredundant part when that is lighter.  Its bound is the larger of the
+    cheapest coverer of the lowest uncovered configuration and a dual
+    bound.  The dual prices each configuration by its layer (its count of
+    white hats, after the color flip), scaled by n+1, as
+    :func:`_layer_prices` sets them: no ball's prices sum to more than
+    n+1 times its element's weight, so the uncovered prices summed and
+    divided by n+1 (rounded up) bound the cost of covering the rest.  That
+    is one popcount per distinct price, at most n+1.  At p = 1/2 every
+    price is the common weight; away from it the root bound is near the
+    LP relaxation (94% of the optimum at n = 6, p = 8707/10000, where the
+    cheapest-coverer prices gave 21%).  The coverers of ``low`` are tried
+    cheapest first and the loop stops at the first one that reaches the
+    incumbent.  Every cut is a valid bound, so the search still reaches
+    the first optimum in its order.  All weights are positive, so the
+    optimum is irredundant.  The witness is the greedy cover if it ties
+    the optimum, else the first optimum in search order.
+
+    At a fixed size, each finished cover is padded with the cheapest
+    unchosen elements (the best padding of that cover), and the bound adds
+    a counting bound (each element covers at most n+1 configurations) to
+    the cheapest unchosen elements; the witness is the first optimum in
+    search order.  Exceeding ``node_budget`` raises
+    :class:`ResourceLimitError`.
     """
     h = 1 << n
     full = _full_mask(n)
@@ -408,12 +466,12 @@ def _cover_search(
     best: int | None = None
     best_set: tuple[int, ...] = ()
     if size is None:
-        # dual prices: each configuration at its cheapest coverer's weight,
-        # one mask of configurations per distinct price
+        # one mask of configurations per distinct layer price; layer z is
+        # popcount n - z, or z once the colors are flipped
         price_masks: dict[int, int] = {}
-        for c in range(h):
-            w = weights[coverers[c][0]]
-            price_masks[w] = price_masks.get(w, 0) | 1 << c
+        masks = _popcount_masks(n)
+        for z, w in enumerate(_layer_prices(n, params.weights)):
+            price_masks[w] = price_masks.get(w, 0) | masks[z if flip else n - z]
         prices = tuple(price_masks.items())
         # greedy incumbent: repeatedly take the element of least weight per
         # newly covered configuration (scaled by lcm(1..n+1) to stay integral)
@@ -428,6 +486,20 @@ def _cover_search(
             covered |= balls[e]
             best_set += (e,)
         best = sum(weights[e] for e in best_set)
+        # its irredundant part, dropping heaviest first, bounds the optimum
+        # too; best = that weight + 1 still lets the search reach its first
+        # optimum, so the witness stays the greedy cover or that optimum
+        kept = list(best_set)
+        for e in sorted(best_set, key=lambda e: (-weights[e], e)):
+            rest = 0
+            for f in kept:
+                if f != e:
+                    rest |= balls[f]
+            if rest == full:
+                kept.remove(e)
+        reduced = sum(weights[e] for e in kept)
+        if reduced < best:
+            best = reduced + 1
 
     def cheapest_unchosen(chosen: tuple[int, ...], count: int) -> list[int]:
         return list(itertools.islice((e for e in order if e not in chosen), count))
@@ -475,6 +547,8 @@ def _cover_search(
         tried = 0
         orbits = set()
         for e in coverers[low]:
+            if size is None and weight + weights[e] >= best:
+                break  # coverers are in weight order: the rest weigh no less
             if cols is not None and e != low:
                 # e flips `low` along k; a swap of two coordinates with equal
                 # columns and equal bits of `low` maps one such flip to another
@@ -507,7 +581,13 @@ def min_cover_optimize(
     else the first optimum in search order.  The search skips, at every
     node, the branches that a swap of two coordinates maps onto an earlier
     branch, which never holds that first optimum, so the witness is the
-    one of the unpruned search.
+    one of the unpruned search.  Its bound prices the uncovered
+    configurations by popcount layer (a dual solution of the cover LP,
+    near its optimum at the root), and its first incumbent is one more
+    than the weight of the greedy cover's irredundant part.  Both cut
+    only subtrees that hold no cover lighter than the incumbent, so they
+    too leave the witness alone.  n = 7 at p = 3/5 takes 90
+    nodes, and at 7/10 and 3/4 about 3.5M and 5.0M.
 
     ``node_budget`` bounds the search-tree size for best-effort runs on
     larger n; exceeding it raises :class:`ResourceLimitError`.  Without a

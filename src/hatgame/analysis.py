@@ -272,7 +272,7 @@ def psi_solver(n: int, params: GameParams, node_budget: int | None = None) -> Fr
 
     The search and its limits are those of :func:`min_cover_optimize`,
     ``node_budget`` included: exact and fast for n <= 5, and at n = 6 about
-    2 s or less at every p = k/20.
+    1.5 s or less at every p = k/20.
     """
     _, value = min_cover_optimize(n, params, node_budget=node_budget)
     return 1 - value

@@ -76,12 +76,14 @@ _LIMITS = {
 }
 
 
-def _check_limit(operation: str, size: int) -> None:
-    """Refuse ``operation`` at ``size`` beyond its row of the table."""
+def _check_limit(operation: str, size: int, at_least: bool = False) -> None:
+    """Refuse ``operation`` at ``size`` beyond its row of the table;
+    ``at_least`` words ``size`` as a lower bound on the operation's size."""
     limit = _LIMITS[operation]
     if size > limit:
         raise ResourceLimitError(
-            "%s is supported up to %d, got %d" % (operation, limit, size)
+            "%s is supported up to %d, got %s%d"
+            % (operation, limit, "at least " if at_least else "", size)
         )
 
 
@@ -140,9 +142,13 @@ class GameParams:
         return self.p_white.denominator**self.n_players
 
 
-def _check_config(code: int, n: int) -> None:
+def _check_n(n: int) -> None:
     if not 2 <= n <= MAX_PLAYERS:
         raise ValueError("n must be in [2, %d], got %r" % (MAX_PLAYERS, n))
+
+
+def _check_config(code: int, n: int) -> None:
+    _check_n(n)
     if not 0 <= code < (1 << n):
         raise ValueError("configuration %r out of range for n=%d" % (code, n))
 

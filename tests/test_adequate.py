@@ -12,6 +12,7 @@ from hatgame.adequate import (
     NoAdequateSetError,
     Signature,
     _cover_search,
+    _layer_prices,
     adequate_sets_cached,
     ball_mask,
     enumerate_adequate,
@@ -228,6 +229,15 @@ def test_enumeration_five_players_size_eight_has_no_repeats():
 def test_enumeration_refused_for_six_players():
     with pytest.raises(ResourceLimitError):
         list(enumerate_adequate(6, 12))
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+def test_enumeration_rejects_n_outside_the_domain_before_any_limit(n):
+    # a domain error, not a resource limit, and not one about the size
+    with pytest.raises(ValueError, match=r"^n must be in \[2, 16\], got %d$" % n):
+        list(enumerate_adequate(n, 3))
+    with pytest.raises(ResourceLimitError):
+        list(enumerate_adequate(6, 3))
 
 
 def test_five_element_sets_without_four_element_core():
@@ -459,26 +469,29 @@ def test_min_cover_six_players_half_is_a_smallest_code():
 
 
 def test_min_cover_six_players_mirrored_tenths():
-    # the budgets guard the node counts: p = 1/10 used to exceed 30M nodes
+    # the budgets guard the node counts, 16 334 at both (p = 1/10 used to
+    # exceed 30M nodes)
     full = (1 << 6) - 1
-    low = min_cover_optimize(6, GameParams(6, Fraction(1, 10)), node_budget=200_000)
-    high = min_cover_optimize(6, GameParams(6, NINE_TENTHS), node_budget=200_000)
+    low = min_cover_optimize(6, GameParams(6, Fraction(1, 10)), node_budget=18_000)
+    high = min_cover_optimize(6, GameParams(6, NINE_TENTHS), node_budget=18_000)
     assert low[1] == high[1] == Fraction(8119, 100000)
     assert low[0].elements == tuple(sorted(e ^ full for e in high[0].elements))
 
 
 def test_min_cover_six_players_witnesses_and_node_counts():
-    # the coordinate-symmetry pruning keeps the first optimum in search
-    # order, so the witnesses are those of the unpruned search; the budgets
-    # guard its node counts (43 281 and 295 741 nodes at 9/10 and 1/2, from
-    # 122 103 and 897 977 without it)
+    # the coordinate-symmetry pruning, the layer dual bound, the
+    # irredundant incumbent and the cheapest-first cutoff all keep the
+    # first optimum in search order, so the witnesses are those of the
+    # unpruned search; the budgets, about 1.1 times the counts, guard the
+    # node counts (16 334, 295 734 and 213 469 nodes at 9/10, 1/2 and 3/5;
+    # 43 281, 295 741 and 524 962 with the cheapest-coverer dual bound)
     expected = [
-        (NINE_TENTHS, 50_000,
+        (NINE_TENTHS, 18_000,
          (1, 6, 10, 28, 29, 31, 44, 45, 47, 48, 50, 51, 61, 63),
          Fraction(8119, 100000)),
-        (HALF, 350_000,
+        (HALF, 325_000,
          (0, 1, 2, 15, 23, 28, 39, 44, 52, 57, 58, 59), Fraction(3, 16)),
-        (Fraction(3, 5), 600_000,
+        (Fraction(3, 5), 235_000,
          (1, 3, 7, 12, 26, 29, 42, 45, 48, 52, 54, 59), Fraction(114, 625)),
     ]
     for p, budget, elements, value in expected:
@@ -491,6 +504,34 @@ def test_min_cover_six_players_witnesses_and_node_counts():
     assert (aset.elements, value) == (
         (0, 2, 4, 7, 8, 9, 16, 17, 25, 30), Fraction(746, 3125)
     )
+
+
+def test_min_cover_seven_players_three_fifths():
+    # the layer dual bound is within 0.1% of the optimum at the root here:
+    # 90 nodes, where the cheapest-coverer bound ran past 5M
+    aset, value = min_cover_optimize(7, GameParams(7, Fraction(3, 5)), node_budget=1_000)
+    assert value == Fraction(78, 625)
+    assert aset.size == 16
+    assert is_adequate(aset.elements, 7)
+
+
+@given(
+    n=hst.integers(min_value=2, max_value=7),
+    p=hst.fractions(min_value=0, max_value=1, max_denominator=10_000).filter(
+        lambda p: 0 < p < 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_layer_prices_are_dual_feasible_and_above_cheapest_coverers(n, p):
+    weights = GameParams(n, p).weights
+    prices = _layer_prices(n, weights)
+    layer = [n - c.bit_count() for c in range(1 << n)]
+    balls = [[c for c in range(1 << n) if ball_mask(e, n) >> c & 1]
+             for e in range(1 << n)]
+    for e, ball in enumerate(balls):
+        # the prices of a ball, scaled by n+1, fit in its element's weight
+        assert sum(prices[layer[c]] for c in ball) <= (n + 1) * weights[layer[e]]
+        # a configuration's coverers are the elements of its ball
+        assert prices[layer[e]] >= min(weights[layer[c]] for c in ball)
 
 
 # ---------------------------------------------------------------------------
