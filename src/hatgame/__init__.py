@@ -8,113 +8,84 @@ loss sets, which are exactly the radius-1 covering codes of the hat cube;
 this package enumerates them, optimizes them exactly for biased coins,
 synthesizes the corresponding decision matrices, and verifies everything
 against independent brute-force oracles.
+
+Names are loaded on first use (PEP 562), so ``import hatgame`` or
+``hatgame.cli`` imports only the modules a caller touches.
 """
 
-from .core import (
-    FREE,
-    GUESS_BLACK,
-    GUESS_WHITE,
-    MAX_PLAYERS,
-    PASS,
-    DecisionMatrix,
-    GameParams,
-    HatGameError,
-    ResourceLimitError,
-    bits,
-    config_probability,
-    evaluate_matrix,
-    flip,
-    losing_configs,
-    score,
-    score_vector,
-    wins,
-)
-from .adequate import (
-    AdequateSet,
-    NoAdequateSetError,
-    Signature,
-    ball_mask,
-    enumerate_adequate,
-    is_adequate,
-    is_adequate_hamming,
-    min_cover_optimize,
-    min_cover_size,
-    optimal_sets,
-    set_probability,
-    signature,
-    size_sweep,
-)
-from .strategy import (
-    all_matrices_for_set,
-    brute_force_optimal,
-    dedupe_player_permutation,
-    free_invariance_check,
-    matrix_from_set,
-)
-from .analysis import (
-    COVERING_CODE_SIZE,
-    complexity_table,
-    count_optimal_sets,
-    covering_check,
-    dominance,
-    dominance_graph,
-    psi_closed_form,
-    psi_curve,
-    psi_solver,
-    signature_poly,
-)
-from .polys import Poly, SQRT2_MINUS_1, Sqrt2Num, TWO_MINUS_SQRT2
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdequateSet",
-    "COVERING_CODE_SIZE",
-    "DecisionMatrix",
-    "FREE",
-    "GUESS_BLACK",
-    "GUESS_WHITE",
-    "GameParams",
-    "HatGameError",
-    "MAX_PLAYERS",
-    "NoAdequateSetError",
-    "PASS",
-    "Poly",
-    "ResourceLimitError",
-    "SQRT2_MINUS_1",
-    "Signature",
-    "Sqrt2Num",
-    "TWO_MINUS_SQRT2",
-    "all_matrices_for_set",
-    "ball_mask",
-    "bits",
-    "brute_force_optimal",
-    "complexity_table",
-    "config_probability",
-    "count_optimal_sets",
-    "covering_check",
-    "dedupe_player_permutation",
-    "dominance",
-    "dominance_graph",
-    "enumerate_adequate",
-    "evaluate_matrix",
-    "flip",
-    "free_invariance_check",
-    "is_adequate",
-    "is_adequate_hamming",
-    "losing_configs",
-    "matrix_from_set",
-    "min_cover_optimize",
-    "min_cover_size",
-    "optimal_sets",
-    "psi_closed_form",
-    "psi_curve",
-    "psi_solver",
-    "score",
-    "score_vector",
-    "set_probability",
-    "signature",
-    "signature_poly",
-    "size_sweep",
-    "wins",
-]
+#: Public name -> the module that defines it.
+_HOMES = {
+    "FREE": "core",
+    "GUESS_BLACK": "core",
+    "GUESS_WHITE": "core",
+    "MAX_PLAYERS": "core",
+    "PASS": "core",
+    "DecisionMatrix": "core",
+    "GameParams": "core",
+    "HatGameError": "core",
+    "ResourceLimitError": "core",
+    "bits": "core",
+    "config_probability": "core",
+    "evaluate_matrix": "core",
+    "flip": "core",
+    "losing_configs": "core",
+    "score": "core",
+    "score_vector": "core",
+    "wins": "core",
+    "AdequateSet": "adequate",
+    "NoAdequateSetError": "adequate",
+    "Signature": "adequate",
+    "ball_mask": "adequate",
+    "enumerate_adequate": "adequate",
+    "is_adequate": "adequate",
+    "is_adequate_hamming": "adequate",
+    "min_cover_optimize": "adequate",
+    "min_cover_size": "adequate",
+    "optimal_sets": "adequate",
+    "set_probability": "adequate",
+    "signature": "adequate",
+    "size_sweep": "adequate",
+    "all_matrices_for_set": "strategy",
+    "brute_force_optimal": "strategy",
+    "dedupe_player_permutation": "strategy",
+    "free_invariance_check": "strategy",
+    "matrix_from_set": "strategy",
+    "COVERING_CODE_SIZE": "analysis",
+    "complexity_table": "analysis",
+    "count_optimal_sets": "analysis",
+    "covering_check": "analysis",
+    "dominance": "analysis",
+    "dominance_graph": "analysis",
+    "psi_closed_form": "analysis",
+    "psi_curve": "analysis",
+    "psi_solver": "analysis",
+    "signature_poly": "analysis",
+    "Poly": "polys",
+    "SQRT2_MINUS_1": "polys",
+    "Sqrt2Num": "polys",
+    "TWO_MINUS_SQRT2": "polys",
+}
+
+#: Submodules reachable as attributes after a bare ``import hatgame``, as
+#: when the package imported them all.
+_SUBMODULES = ("core", "adequate", "strategy", "polys", "analysis")
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module("." + name, __name__)
+    if name not in _HOMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + _HOMES[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

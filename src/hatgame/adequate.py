@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -33,6 +32,7 @@ from .core import (
     GameParams,
     HatGameError,
     ResourceLimitError,
+    _Frozen,
     _check_config,
     _check_limit,
     _check_n,
@@ -132,22 +132,21 @@ def is_adequate_hamming(elements: Sequence[int], n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdequateSet:
+class AdequateSet(_Frozen):
     """A validated adequate set: sorted distinct configurations covering
     the whole cube within Hamming distance one."""
 
-    elements: tuple[int, ...]
-    n_players: int
+    __slots__ = _fields = ("elements", "n_players")
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
+    def __init__(self, elements: tuple[int, ...], n_players: int):
+        elems = tuple(elements)
         # is_adequate_hamming validates the elements before testing them
-        if not is_adequate_hamming(elems, self.n_players):
+        if not is_adequate_hamming(elems, n_players):
             raise ValueError(
-                "%r is not adequate for n=%d" % (tuple(sorted(elems)), self.n_players)
+                "%r is not adequate for n=%d" % (tuple(sorted(elems)), n_players)
             )
         object.__setattr__(self, "elements", tuple(sorted(elems)))
+        object.__setattr__(self, "n_players", n_players)
 
     @property
     def size(self) -> int:
@@ -160,20 +159,20 @@ class AdequateSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Frozen):
     """Histogram (c_0, ..., c_N): c_j elements have exactly j white bits.
 
     Two sets with the same signature have the same probability for every p,
     namely sum_j c_j p^j q^(N-j).
     """
 
-    counts: tuple[int, ...]
+    __slots__ = _fields = ("counts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) < 3 or any(c < 0 for c in self.counts):
-            raise ValueError("invalid signature counts %r" % (self.counts,))
+    def __init__(self, counts: tuple[int, ...]):
+        counts = tuple(int(c) for c in counts)
+        if len(counts) < 3 or any(c < 0 for c in counts):
+            raise ValueError("invalid signature counts %r" % (counts,))
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n_players(self) -> int:
@@ -620,17 +619,25 @@ def min_cover_size(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Frozen):
     """One row of a size sweep: the best adequate set of exactly ``size``
     elements, found by the branch and bound of :func:`_cover_search`;
     ``witness`` is the first optimum in its search order at p >= 1/2, and
     the complement of the witness at 1 - p for p < 1/2."""
 
-    size: int
-    signature: Signature | None
-    min_sum: Fraction | None
-    witness: AdequateSet | None
+    __slots__ = _fields = ("size", "signature", "min_sum", "witness")
+
+    def __init__(
+        self,
+        size: int,
+        signature: Signature | None,
+        min_sum: Fraction | None,
+        witness: AdequateSet | None,
+    ):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "min_sum", min_sum)
+        object.__setattr__(self, "witness", witness)
 
 
 def size_sweep(

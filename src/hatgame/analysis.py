@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +29,7 @@ from .adequate import (
     min_cover_optimize,
     min_cover_size,
 )
-from .core import _LIMITS, GameParams, _check_limit, exact_fraction
+from .core import _LIMITS, GameParams, _Frozen, _check_limit, exact_fraction
 from .polys import (
     Number,
     Poly,
@@ -66,8 +65,7 @@ def signature_poly(sig: Signature) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominanceResult:
+class DominanceResult(_Frozen):
     """Sign classification of poly(a) - poly(b) on an open interval.
 
     relation is one of "equal", "always_less", "always_greater" or
@@ -76,8 +74,13 @@ class DominanceResult:
     rational roots).
     """
 
-    relation: str
-    roots: tuple[tuple[Fraction, Fraction], ...] = ()
+    __slots__ = _fields = ("relation", "roots")
+
+    def __init__(
+        self, relation: str, roots: tuple[tuple[Fraction, Fraction], ...] = ()
+    ):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "roots", roots)
 
 
 #: Isolating intervals returned by :func:`dominance` are refined below
@@ -117,8 +120,7 @@ def dominance(
     return DominanceResult("always_less" if less else "always_greater")
 
 
-@dataclass(frozen=True)
-class DominanceGraph:
+class DominanceGraph(_Frozen):
     """Dominance relations among the loss classes of minimum-size sets.
 
     nodes are ordered by their probability at p = 9/10; edges (i, j) mean
@@ -126,11 +128,21 @@ class DominanceGraph:
     pairs swap order inside the interval.
     """
 
-    n_players: int
-    interval: tuple[Number, Number]
-    nodes: tuple[Signature, ...]
-    edges: tuple[tuple[int, int], ...]
-    crossings: tuple[tuple[int, int, tuple[tuple[Fraction, Fraction], ...]], ...]
+    __slots__ = _fields = ("n_players", "interval", "nodes", "edges", "crossings")
+
+    def __init__(
+        self,
+        n_players: int,
+        interval: tuple[Number, Number],
+        nodes: tuple[Signature, ...],
+        edges: tuple[tuple[int, int], ...],
+        crossings: tuple[tuple[int, int, tuple[tuple[Fraction, Fraction], ...]], ...],
+    ):
+        object.__setattr__(self, "n_players", n_players)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "crossings", crossings)
 
     def node_labels(self) -> tuple[str, ...]:
         return tuple(s.compact() for s in self.nodes)
@@ -206,8 +218,7 @@ def dominance_graph(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewisePsi:
+class PiecewisePsi(_Frozen):
     """Piecewise-polynomial maximum win probability on (0, 1).
 
     breakpoints has one more entry than pieces; piece k applies on the
@@ -215,9 +226,17 @@ class PiecewisePsi:
     agree at shared breakpoints - the curve is continuous).
     """
 
-    n_players: int
-    breakpoints: tuple[Sqrt2Num, ...]
-    pieces: tuple[Poly, ...]
+    __slots__ = _fields = ("n_players", "breakpoints", "pieces")
+
+    def __init__(
+        self,
+        n_players: int,
+        breakpoints: tuple[Sqrt2Num, ...],
+        pieces: tuple[Poly, ...],
+    ):
+        object.__setattr__(self, "n_players", n_players)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "pieces", pieces)
 
     def piece_index(self, p: Number) -> int:
         """Index of the piece whose closed interval contains p (the
@@ -278,8 +297,7 @@ def psi_solver(n: int, params: GameParams, node_budget: int | None = None) -> Fr
     return 1 - value
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(_Frozen):
     """One psi-curve sample: exact abscissa, exact value, piece label.
 
     Regular grid rows carry the 1-based piece index as their label;
@@ -287,10 +305,13 @@ class CurveRow:
     row.
     """
 
-    p: Number
-    psi: Number
-    piece: str
-    is_breakpoint: bool = False
+    __slots__ = _fields = ("p", "psi", "piece", "is_breakpoint")
+
+    def __init__(self, p: Number, psi: Number, piece: str, is_breakpoint: bool = False):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "piece", piece)
+        object.__setattr__(self, "is_breakpoint", is_breakpoint)
 
 
 def psi_curve(
@@ -392,16 +413,31 @@ def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, tuple]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(_Frozen):
     """Comparison of the computed minimum loss-set size with the published
     covering-code size K(n, 1), plus the symmetric-game win bound."""
 
-    n_players: int
-    computed_min_size: int | None
-    covering_code_size: int
-    agrees: bool | None
-    symmetric_win_probability: Fraction
+    __slots__ = _fields = (
+        "n_players",
+        "computed_min_size",
+        "covering_code_size",
+        "agrees",
+        "symmetric_win_probability",
+    )
+
+    def __init__(
+        self,
+        n_players: int,
+        computed_min_size: int | None,
+        covering_code_size: int,
+        agrees: bool | None,
+        symmetric_win_probability: Fraction,
+    ):
+        object.__setattr__(self, "n_players", n_players)
+        object.__setattr__(self, "computed_min_size", computed_min_size)
+        object.__setattr__(self, "covering_code_size", covering_code_size)
+        object.__setattr__(self, "agrees", agrees)
+        object.__setattr__(self, "symmetric_win_probability", symmetric_win_probability)
 
 
 def covering_check(n: int) -> CoveringReport:
@@ -429,17 +465,32 @@ def sci_2sig(value: int) -> str:
     return format(context.create_decimal(value), ".1E")
 
 
-@dataclass(frozen=True)
-class ComplexityRow:
+class ComplexityRow(_Frozen):
     """Strategy-space sizes for one n: full brute force 3^(2^(n-1) n),
     the reduced bound 3^((2^(n-1)-2) n), and the number of candidate loss
     sets C(2^n, size)."""
 
-    n_players: int
-    min_size: int
-    full_strategies: int
-    reduced_strategies: int
-    candidate_sets: int
+    __slots__ = _fields = (
+        "n_players",
+        "min_size",
+        "full_strategies",
+        "reduced_strategies",
+        "candidate_sets",
+    )
+
+    def __init__(
+        self,
+        n_players: int,
+        min_size: int,
+        full_strategies: int,
+        reduced_strategies: int,
+        candidate_sets: int,
+    ):
+        object.__setattr__(self, "n_players", n_players)
+        object.__setattr__(self, "min_size", min_size)
+        object.__setattr__(self, "full_strategies", full_strategies)
+        object.__setattr__(self, "reduced_strategies", reduced_strategies)
+        object.__setattr__(self, "candidate_sets", candidate_sets)
 
     @property
     def full_sci(self) -> str:

@@ -8,6 +8,10 @@ significant digits) and exact rationals.
 Exit codes: 0 success, 2 bad arguments, 3 resource limit exceeded.  A
 reader that closes stdout early (``hatgame ... | head``) is not an error:
 the rest of the output is dropped and the exit code is 0.
+
+Each subcommand imports the modules it runs when it runs, so a call
+loads only what it uses: ``evaluate`` never imports the cover search,
+and no call but ``brute`` and ``solve`` imports :mod:`hatgame.strategy`.
 """
 
 from __future__ import annotations
@@ -21,16 +25,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import analysis
-from .adequate import (
-    NoAdequateSetError,
-    Signature,
-    _signature_groups,
-    min_cover_size,
-    optimal_sets,
-    signature,
-    size_sweep,
-)
 from .core import (
     DecisionMatrix,
     GameParams,
@@ -39,12 +33,6 @@ from .core import (
     evaluate_matrix,
 )
 from .polys import Number, Sqrt2Num, decimal_str
-from .strategy import (
-    brute_force_optimal,
-    all_matrices_for_set,
-    dedupe_player_permutation,
-    matrix_from_set,
-)
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -112,6 +100,8 @@ def cmd_enumerate(args) -> None:
     lexicographic, are merged in order, so rows are written as they are
     made.  ``--sort sum`` merges each run of classes of equal value, runs
     by ascending value."""
+    from .adequate import _signature_groups
+
     n, size = args.n, args.das
     params = GameParams(n, args.p)
     groups = _signature_groups(n, size)
@@ -151,6 +141,9 @@ def cmd_enumerate(args) -> None:
 
 
 def cmd_solve(args) -> None:
+    from .adequate import min_cover_size, optimal_sets, signature
+    from .strategy import all_matrices_for_set, matrix_from_set
+
     n = args.n
     params = GameParams(n, args.p)
     if args.all_matrices:
@@ -238,6 +231,8 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_brute(args) -> None:
+    from .strategy import brute_force_optimal, dedupe_player_permutation
+
     n = args.n
     params = GameParams(n, args.p)
     best, matrices = brute_force_optimal(n, params)
@@ -266,6 +261,8 @@ def cmd_brute(args) -> None:
 
 
 def cmd_psi(args) -> None:
+    from . import analysis
+
     n = args.n
     rows = analysis.psi_curve(n, args.pmin, args.pmax, args.steps)
     if args.format == "json":
@@ -288,6 +285,9 @@ def cmd_psi(args) -> None:
 
 
 def cmd_dominance(args) -> None:
+    from . import analysis
+    from .adequate import Signature
+
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
             raise ValueError("--a and --b must be given together")
@@ -352,6 +352,8 @@ def cmd_dominance(args) -> None:
 
 
 def cmd_complexity(args) -> None:
+    from . import analysis
+
     rows = analysis.complexity_table()
     if args.format == "json":
         print(
@@ -400,6 +402,8 @@ def cmd_complexity(args) -> None:
 
 
 def cmd_covering(args) -> None:
+    from . import analysis
+
     ns = [args.n] if args.n is not None else list(range(2, 10))
     reports = [analysis.covering_check(n) for n in ns]
     if args.format == "json":
@@ -440,6 +444,8 @@ def cmd_covering(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    from .adequate import min_cover_size, size_sweep
+
     n = args.n
     params = GameParams(n, args.p)
     if args.das_range is not None:
@@ -572,7 +578,7 @@ def main(argv=None) -> int:
         # flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ValueError, NoAdequateSetError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -32,7 +32,6 @@ probabilities in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -71,6 +70,7 @@ _LIMITS = {
     "minimum cover size at n": 5,
     "cover search without a node budget at n": 6,
     "all matrices of a set at n": 4,
+    "all matrices of a set at n * size": 24,
     "FREE cells in an invariance check": 12,
     "psi curve grid steps": 100_000,
 }
@@ -102,26 +102,62 @@ def exact_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class GameParams:
+class _Frozen:
+    """Immutable value with the equality, hash and repr of a frozen
+    dataclass over the attributes named in ``_fields``; pickle and copy
+    call the class again on those values.  Each subclass sets its
+    attributes in its own ``__init__`` through ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+class GameParams(_Frozen):
     """Number of players plus the exact hat-color distribution; the black
     probability ``q_black`` is always 1 - p_white.  ``weights`` and
     ``total_weight`` hold the integer arithmetic every loss runs on."""
 
-    n_players: int
-    p_white: Fraction
+    # no __slots__: the cached properties below live in the instance dict
+    _fields = ("n_players", "p_white")
 
-    def __post_init__(self):
-        if not isinstance(self.n_players, int):
+    def __init__(self, n_players: int, p_white: Fraction):
+        if not isinstance(n_players, int):
             raise TypeError("n_players must be an int")
-        if not 2 <= self.n_players <= MAX_PLAYERS:
+        if not 2 <= n_players <= MAX_PLAYERS:
             raise ValueError(
-                "n_players must be in [2, %d], got %r" % (MAX_PLAYERS, self.n_players)
+                "n_players must be in [2, %d], got %r" % (MAX_PLAYERS, n_players)
             )
-        p = exact_fraction(self.p_white)
-        object.__setattr__(self, "p_white", p)
+        p = exact_fraction(p_white)
         if not 0 < p < 1:
             raise ValueError("p_white must satisfy 0 < p < 1, got %s" % (p,))
+        object.__setattr__(self, "n_players", n_players)
+        object.__setattr__(self, "p_white", p)
 
     @cached_property
     def q_black(self) -> Fraction:
@@ -263,18 +299,16 @@ def config_probability(code: int, params: GameParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
+class DecisionMatrix(_Frozen):
     """N x 2^(N-1) grid of decisions, one row per player.
 
     ``rows[i-1][s]`` is player i's decision upon observing score s.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if not 2 <= n <= MAX_PLAYERS:
             raise ValueError("matrix must have between 2 and %d rows" % MAX_PLAYERS)
@@ -287,6 +321,7 @@ class DecisionMatrix:
             for v in row:
                 if v not in _VALID_ENTRIES:
                     raise ValueError("invalid decision value %r" % (v,))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_players(self) -> int:

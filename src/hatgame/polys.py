@@ -38,24 +38,21 @@ binary float is not the rational it was typed as.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .core import exact_fraction
+from .core import _Frozen, exact_fraction
 
 
-@dataclass(frozen=True)
-class Sqrt2Num:
+class Sqrt2Num(_Frozen):
     """Exact number a + b*sqrt(2), a and b rational."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", exact_fraction(self.a))
-        object.__setattr__(self, "b", exact_fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
+        object.__setattr__(self, "a", exact_fraction(a))
+        object.__setattr__(self, "b", exact_fraction(b))
 
     # -- exact ordering -----------------------------------------------------
 
@@ -145,14 +142,14 @@ TWO_MINUS_SQRT2 = Sqrt2Num(2, -1)
 Number = Union[int, Fraction, Sqrt2Num]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Frozen):
     """Dense polynomial with Fraction coefficients, ascending powers."""
 
-    coeffs: tuple[Fraction, ...]
+    # no __slots__: the cached properties below live in the instance dict
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        cs = [exact_fraction(c) for c in self.coeffs]
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        cs = [exact_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -13,9 +13,10 @@ The other direction is brute force: for two and three players the full
 strategy space (3^4 resp. 3^12 matrices) is searched outright, giving an
 oracle completely independent of the covering-set machinery.  The search
 runs on integer configuration masks, and all probability comparisons stay
-exact: matrices are bucketed by their win masks first, and each distinct
-win mask is evaluated once as an integer weight sum.  The same masks drive
-the backtracking of :func:`all_matrices_for_set`.
+exact: the rows of all players but the last fall into mask groups, each
+win mask is evaluated once as an integer weight sum, and the last
+player's rows run once per group.  The same masks drive the backtracking
+of :func:`all_matrices_for_set`.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def brute_force_optimal(
 
     Only n = 2 (81 strategies) and n = 3 (531441 strategies) are accepted;
     the space grows as 3^(n 2^(n-1)).
+
+    A matrix wins where some guess is right and none is wrong.  With w and
+    r the wrong and right masks of its first n - 1 rows, that set depends
+    on them only through the pair (w, r & ~w), so those partial matrices
+    fall into mask groups (at n = 3, 6 561 partials into 1 296 groups)
+    and the last row is tried once per group: 104 976 win masks in place
+    of 531 441.  Every matrix is in exactly one group, so the search stays
+    exhaustive; the maximizers are the codes of the groups and last rows
+    that reach the best value, sorted.
     """
     if n not in (2, 3):
         raise ValueError("brute force is supported for n in {2, 3} only")
@@ -109,24 +119,37 @@ def brute_force_optimal(
     choices = list(itertools.product(CONCRETE_DECISIONS, repeat=1 << (n - 1)))
     rows = [[_guess_masks((row,), (row_cells,)) for row in choices]
             for row_cells in _cells(n)]
-    # product over players, player 1 outermost: list index = ternary code
+    # product over all players but the last, player 1 outermost: position
+    # = ternary code of those rows; the last factor is streamed
     partial = [(0, 0)]
-    for outcomes in rows[:-1]:
+    for outcomes in rows[:-2]:
         partial = [(w | rw, r | rr) for w, r in partial for rw, rr in outcomes]
-    win_masks = [(r | rr) & ~(w | rw) for w, r in partial for rw, rr in rows[-1]]
-    # exact evaluation happens once per distinct win mask, not per matrix
+    partial = ((w | rw, r | rr) for w, r in partial for rw, rr in rows[-2])
+    # a full matrix wins on (r | rr) & ~(w | rw), which sees its partial
+    # (w, r) only through (w, r & ~w): group the partials by that pair
+    groups: dict[tuple[int, int], list[int]] = {}
+    for code, (w, r) in enumerate(partial):
+        groups.setdefault((w, r & ~w), []).append(code)
+    # each of the 2^(2^n) win masks is priced once, exactly, not per matrix
     weights = params.weights
-    values = {
-        m: sum(weights[n - c.bit_count()] for c in range(1 << n) if (m >> c) & 1)
-        for m in set(win_masks)
-    }
-    best = max(values.values())
-    best_masks = {m for m, v in values.items() if v == best}
-    matrices = [
-        _matrix_from_ternary_index(i, n)
-        for i, m in enumerate(win_masks)
-        if m in best_masks
+    values = [
+        sum(weights[n - c.bit_count()] for c in range(1 << n) if (m >> c) & 1)
+        for m in range(1 << (1 << n))
     ]
+    # the last player's rows run once per group
+    last = rows[-1]
+    best, codes = -1, []
+    for (w, r), partials in groups.items():
+        row_values = [values[(r | rr) & ~(w | rw)] for rw, rr in last]
+        top = max(row_values)
+        if top >= best:
+            if top > best:
+                best, codes = top, []
+            codes += [code * len(last) + j
+                      for j, v in enumerate(row_values) if v == top
+                      for code in partials]
+    codes.sort()
+    matrices = [_matrix_from_ternary_index(i, n) for i in codes]
     return Fraction(best, params.total_weight), matrices
 
 
@@ -146,10 +169,14 @@ def all_matrices_for_set(aset: AdequateSet) -> list[DecisionMatrix]:
     player's cell is).  A branch is cut as soon as a winning configuration
     holds a wrong guess, a complete winning configuration holds no right
     one, or a complete losing configuration is won.  Refused up front
-    beyond its row of ``core._LIMITS``.
+    beyond its rows of ``core._LIMITS``: one bounds n, the other n times
+    the set's size, the number of cell counterparts in the set, which is
+    what the listing grows with (at n = 4: 729 matrices for a 5-element
+    set, 18 954 for a 6-element one, 374 706 for a 7-element one).
     """
     n = aset.n_players
     _check_limit("all matrices of a set at n", n)
+    _check_limit("all matrices of a set at n * size", n * aset.size)
     lose = sum(1 << code for code in aset.elements)
     win = (1 << (1 << n)) - 1 & ~lose
     # per cell: the configurations it completes, and each decision with

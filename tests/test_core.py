@@ -1,5 +1,7 @@
 """Core model tests: configurations, scores, probabilities, matrices."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from functools import partial
@@ -9,12 +11,20 @@ from hypothesis import given, strategies as hst
 
 from hatgame.adequate import (
     AdequateSet,
+    Signature,
     enumerate_adequate,
     min_cover_optimize,
     min_cover_size,
     size_sweep,
 )
-from hatgame.analysis import psi_curve
+from hatgame.analysis import (
+    complexity_table,
+    covering_check,
+    dominance,
+    dominance_graph,
+    psi_closed_form,
+    psi_curve,
+)
 from hatgame.core import (
     _LIMITS,
     FREE,
@@ -36,6 +46,7 @@ from hatgame.core import (
     score_vector,
     wins,
 )
+from hatgame.polys import Poly, Sqrt2Num
 from hatgame.strategy import all_matrices_for_set, free_invariance_check
 
 HALF = Fraction(1, 2)
@@ -182,6 +193,42 @@ TABLE_0_7 = DecisionMatrix(
 )
 
 
+def _one_record_of_each_class():
+    return [
+        GameParams(3, HALF),
+        DecisionMatrix(((0, 1), (-1, 0))),
+        AdequateSet((0, 3), 2),
+        Signature((0, 1, 1)),
+        size_sweep(3, [2], GameParams(3, HALF))[0],
+        Sqrt2Num(1, -1),
+        Poly((1, 2)),
+        dominance(Signature((0, 1, 1, 0)), Signature((1, 0, 0, 1))),
+        dominance_graph(3),
+        psi_closed_form(3),
+        psi_curve(3, Fraction(1, 4), Fraction(3, 4), 2)[0],
+        covering_check(3),
+        complexity_table([2])[0],
+    ]
+
+
+def test_records_are_immutable_values():
+    records = _one_record_of_each_class()
+    assert len({type(r) for r in records}) == 13
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(record, record._fields[0])
+        with pytest.raises(AttributeError):
+            record.new_attribute = None
+        twin = pickle.loads(pickle.dumps(record))
+        assert twin == record and hash(twin) == hash(record), record
+        assert copy.copy(record) == record
+    # equality is per class, as for a frozen dataclass
+    assert Signature((0, 1, 1)) != (0, 1, 1)
+    assert repr(GameParams(3, HALF)) == "GameParams(n_players=3, p_white=Fraction(1, 2))"
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         DecisionMatrix(((0, 0), (0,)))
@@ -311,6 +358,9 @@ LIMIT_CASES = {
         None, lambda n: partial(min_cover_optimize, n, GameParams(n, HALF))),
     "all matrices of a set at n": (
         None, lambda n: partial(all_matrices_for_set, AdequateSet(range(1 << n), n))),
+    # the n = 3 cube has 3 * 8 = 24 cell counterparts, one past the patched row
+    "all matrices of a set at n * size": (
+        23, lambda work: partial(all_matrices_for_set, AdequateSet(range(work // 3), 3))),
     "FREE cells in an invariance check": (
         None, lambda k: partial(free_invariance_check, _matrix_with_free_cells(k),
                                 GameParams(4, HALF))),

@@ -21,6 +21,8 @@ from hatgame.core import (
     DecisionMatrix,
     GameParams,
     ResourceLimitError,
+    _cells,
+    _guess_masks,
     evaluate_matrix,
     losing_configs,
     wins,
@@ -155,19 +157,21 @@ def test_losing_configs_equal_the_set_for_free_less_matrices():
 # ---------------------------------------------------------------------------
 
 
+def _ternary_code(matrix):
+    """Player 1, score 0 is the leading digit; decision d is digit d + 1."""
+    code = 0
+    for row in matrix.rows:
+        for d in row:
+            code = 3 * code + d + 1
+    return code
+
+
 def test_brute_force_two_players_symmetric():
     best, matrices = brute_force_optimal(2, GameParams(2, HALF))
     assert best == HALF
     assert len(matrices) == 30
     assert len(dedupe_player_permutation(matrices, 2)) == 17
-    codes = []
-    for m in matrices:
-        code = 0
-        for row in m.rows:
-            for d in row:
-                code = 3 * code + d + 1
-        codes.append(code)
-    # ascending ternary code: player 1, score 0 is the leading digit
+    codes = [_ternary_code(m) for m in matrices]
     assert codes == sorted(set(codes))
 
 
@@ -191,11 +195,76 @@ def test_brute_force_three_players_asymmetric():
     assert matrices == expected
 
 
+def _flat_brute_force(n, params):
+    """The search before mask groups, kept as the reference: the win mask
+    of every one of the 3^(n 2^(n-1)) matrices, in ternary-code order."""
+    choices = list(itertools.product((GUESS_BLACK, PASS, GUESS_WHITE), repeat=1 << (n - 1)))
+    rows = [[_guess_masks((row,), (row_cells,)) for row in choices]
+            for row_cells in _cells(n)]
+    partial = [(0, 0)]
+    for outcomes in rows[:-1]:
+        partial = [(w | rw, r | rr) for w, r in partial for rw, rr in outcomes]
+    win_masks = [(r | rr) & ~(w | rw) for w, r in partial for rw, rr in rows[-1]]
+    weights = params.weights
+    values = {
+        m: sum(weights[n - c.bit_count()] for c in range(1 << n) if (m >> c) & 1)
+        for m in set(win_masks)
+    }
+    best = max(values.values())
+    codes = [i for i, m in enumerate(win_masks) if values[m] == best]
+    return Fraction(best, params.total_weight), codes
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [Fraction(1, 20), HALF, NINE_TENTHS, Fraction(999, 1000)])
+def test_brute_force_matches_the_flat_product(n, p):
+    params = GameParams(n, p)
+    best, matrices = brute_force_optimal(n, params)
+    assert (best, [_ternary_code(m) for m in matrices]) == _flat_brute_force(n, params)
+
+
 def test_package_imports_with_the_standard_library_alone():
     # -S leaves site-packages off the path: no third-party package is found
     env = dict(os.environ, PYTHONPATH=str(Path(hatgame.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import hatgame, hatgame.cli"],
+        [sys.executable, "-S", "-c", "from hatgame import *; import hatgame.cli"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Run in a fresh interpreter: pytest itself has loaded ``dataclasses``.
+STARTUP_CHECK = """
+import importlib, sys
+before = set(sys.modules)
+import hatgame.cli
+loaded = set(sys.modules) - before
+unused = {"dataclasses", "hatgame.adequate", "hatgame.analysis", "hatgame.strategy"}
+assert not loaded & unused, sorted(loaded & unused)
+import hatgame
+# before any name is resolved, and so cached in the package namespace
+assert set(hatgame.__all__) <= set(dir(hatgame))
+# a submodule not yet imported is an attribute, as when the package
+# imported them all
+assert hatgame.strategy.__name__ == "hatgame.strategy"
+for name in hatgame.__all__:
+    home = importlib.import_module("hatgame." + hatgame._HOMES[name])
+    value = getattr(hatgame, name)
+    assert value is getattr(home, name), name
+    assert getattr(value, "__module__", home.__name__) == home.__name__, name
+try:
+    hatgame.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("hatgame.no_such_name resolved")
+"""
+
+
+def test_cli_import_loads_only_what_a_call_runs():
+    env = dict(os.environ, PYTHONPATH=str(Path(hatgame.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", STARTUP_CHECK],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -256,6 +325,15 @@ def test_all_matrices_three_players_unique():
         ms = all_matrices_for_set(a)
         assert len(ms) == 1
         assert ms[0] == matrix_from_set(a)
+
+
+def test_all_matrices_bounded_by_n_times_the_set_size():
+    # the whole n = 3 cube is the largest n <= 3 set
+    assert len(all_matrices_for_set(AdequateSet(range(8), 3))) == 16335
+    # n = 4: 18 954 matrices for the first 6-element set, 374 706 for the
+    # first 7-element one
+    with pytest.raises(ResourceLimitError, match="n \\* size is supported up to 24, got 28"):
+        all_matrices_for_set(next(enumerate_adequate(4, 7)))
 
 
 # ---------------------------------------------------------------------------
