@@ -21,7 +21,7 @@ import math
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .adequate import (
     Signature,
@@ -37,6 +37,7 @@ from .polys import (
     Sqrt2Num,
     TWO_MINUS_SQRT2,
     _exact,
+    _horner,
     _rational_inside,
 )
 
@@ -49,15 +50,41 @@ COVERING_CODE_SIZE = {2: 2, 3: 2, 4: 4, 5: 7, 6: 12, 7: 16, 8: 32, 9: 62}
 
 @lru_cache(maxsize=1024)
 def signature_poly(sig: Signature) -> Poly:
-    """Loss polynomial sum_j c_j p^j (1-p)^(n-j), cached per signature.
-    Expanding (1-p)^(n-j) by the binomial theorem, the coefficient of p^k
-    is the integer sum_{j<=k} c_j (-1)^(k-j) C(n-j, k-j)."""
-    n = sig.n_players
-    return Poly(tuple(
+    """Loss polynomial sum_j c_j p^j (1-p)^(n-j), cached per signature."""
+    return Poly(_loss_coeffs(sig.counts))
+
+
+def _loss_coeffs(counts: Sequence[int]) -> tuple[int, ...]:
+    """Ascending coefficients of sum_j c_j p^j (1-p)^(n-j), n + 1 the
+    number of counts, which may be negative.  Expanding (1-p)^(n-j) by the
+    binomial theorem, the coefficient of p^k is the integer
+    sum_{j<=k} c_j (-1)^(k-j) C(n-j, k-j)."""
+    n = len(counts) - 1
+    return tuple(
         sum(c * (-1) ** (k - j) * math.comb(n - j, k - j)
-            for j, c in enumerate(sig.counts[: k + 1]))
+            for j, c in enumerate(counts[: k + 1]))
         for k in range(n + 1)
-    ))
+    )
+
+
+@lru_cache(maxsize=64)
+def _interval_weights(n: int, a1: int, a2: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Integer weights of the loss monomials on [a1/d, a2/d].
+
+    With c_i = d - a_i, row z holds the coefficients of s^(n-k) t^k,
+    k = 0..n, in (a1 s + a2 t)^z (c1 s + c2 t)^(n-z).  Writing
+    p = (a1 s + a2 t)/d with s + t = 1 makes q = (c1 s + c2 t)/d, so row z
+    is d^n p^z q^(n-z) in the variables s, t, and its entry k is C(n, k)
+    times a Bernstein coefficient of d^n p^z q^(n-z) on the interval
+    (Farouki and Rajan, CAGD 5, 1988)."""
+    c1, c2 = d - a1, d - a2
+    rows = []
+    for z in range(n + 1):
+        row = [1]
+        for u, v in [(a1, a2)] * z + [(c1, c2)] * (n - z):
+            row = [u * x + v * y for x, y in zip(row + [0], [0] + row)]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +124,46 @@ def dominance(
 
     "always_less" means class a is strictly cheaper (dominates) throughout
     the interval.  Interval endpoints may be rational or in Q(sqrt 2);
-    floats are refused.  Each root interval comes from
+    floats are refused.
+
+    The difference is sum_z D_z p^z q^(n-z) with D the difference of the
+    counts; D = 0 is "equal", since those monomials are a basis.  On a
+    rational interval [lo, hi] the sign is first read from the integers
+    b_k = sum_z D_z w_zk of :func:`_interval_weights`: all b_k >= 0 is
+    "always_greater" and all b_k <= 0 is "always_less".  Proof: each p in
+    (lo, hi) is lo s + hi t with s, t in (0, 1) and s + t = 1, where
+    d^n times the difference is sum_k b_k s^(n-k) t^k.  Every monomial
+    s^(n-k) t^k is positive there, and D != 0 makes some b_k nonzero, as
+    the rows are a basis too.  A root inside the interval rules out
+    same-sign b_k, so this never decides a crossing or a touch.
+
+    A Sturm chain is built only when the b_k have mixed signs or an end
+    is irrational: the difference polynomial comes from D on integers
+    (:func:`_loss_coeffs`), each root interval comes from
     :meth:`Poly.isolate_roots_open` on the interval itself, refined below
-    ``ROOT_WIDTH``.  With no root inside, the sign of the difference at one
-    rational point of the interval decides, so each call builds one Sturm
-    chain.
+    ``ROOT_WIDTH``, and with no root inside, the sign of the difference at
+    one rational point of the interval decides.
     """
     if sig_a.n_players != sig_b.n_players:
         raise ValueError("signatures must have equal player counts")
     lo, hi = (_exact(x) for x in interval)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    diff = signature_poly(sig_a) - signature_poly(sig_b)
-    if diff.is_zero:
+    delta = [a - b for a, b in zip(sig_a.counts, sig_b.counts)]
+    if not any(delta):
         return DominanceResult("equal")
+    if isinstance(lo, Fraction) and isinstance(hi, Fraction):
+        d = math.lcm(lo.denominator, hi.denominator)
+        rows = _interval_weights(
+            sig_a.n_players, lo.numerator * (d // lo.denominator),
+            hi.numerator * (d // hi.denominator), d,
+        )
+        bern = [sum(dz * w for dz, w in zip(delta, col)) for col in zip(*rows)]
+        if min(bern) >= 0:
+            return DominanceResult("always_greater")
+        if max(bern) <= 0:
+            return DominanceResult("always_less")
+    diff = Poly(_loss_coeffs(delta))
     roots = tuple(
         diff.refine_root(a, b, ROOT_WIDTH) for a, b in diff.isolate_roots_open(lo, hi)
     )
@@ -125,7 +178,10 @@ class DominanceGraph(_Frozen):
 
     nodes are ordered by their probability at p = 9/10; edges (i, j) mean
     node i is strictly cheaper than node j on the whole interval; crossing
-    pairs swap order inside the interval.
+    pairs have a root of their difference inside the interval.  Most swap
+    order there, but a pair that touches at a double root without swapping
+    (022210 and 111310 at 1/2, 102310 and 031021 at (3 - sqrt 5)/2) is
+    reported as a crossing too.
     """
 
     __slots__ = _fields = ("n_players", "interval", "nodes", "edges", "crossings")
@@ -320,12 +376,22 @@ def psi_curve(
     """Evaluate the closed form on an equally spaced rational grid, with a
     row for each interior breakpoint in [p_min, p_max].
 
-    Grid row k is p = (base + k * step) / den on integers.  Each
-    interior breakpoint in [p_min, p_max] is placed once, before the first
-    grid row at or after it, which a bisection over k finds; grid rows in
-    between take the piece they lie in.  A breakpoint row replaces the
-    grid row it coincides with and is labelled "k|k+1", or "k" when it is
-    p_max.  Refused for more steps than its row of ``core._LIMITS``.
+    Grid row k is p = (base + k * step) / den on integers, all three
+    divided by their gcd (1/12000..11999/12000 in 11 998 steps has
+    den = 12000, not the 143 976 000 of lcm times steps).  Each interior
+    breakpoint in [p_min, p_max] is placed once, before the first grid row
+    at or after it, which a bisection over k finds; grid rows in between
+    take the piece they lie in.  A breakpoint row replaces the grid row it
+    coincides with and is labelled "k|k+1", or "k" when it is p_max.
+    Refused for more steps than its row of ``core._LIMITS``.
+
+    On a run of grid rows with one piece of degree d, whose coefficients
+    times their lcm L are the integers C_j, the value at row k is
+    sum_j C_j (base + k step)^j den^(d-j) over L den^d, and that numerator
+    is a degree-d polynomial in k.
+    The run's first d + 1 numerators are :func:`_horner` sums; they seed a
+    table of forward differences, and each later numerator takes d integer
+    additions.  Each row builds one Fraction for p and one for psi.
     """
     p_min, p_max = exact_fraction(p_min), exact_fraction(p_max)
     if not (0 < p_min < p_max < 1):
@@ -338,16 +404,30 @@ def psi_curve(
     den = math.lcm(p_min.denominator, p_max.denominator) * steps
     base = p_min.numerator * (den // p_min.denominator)
     step = (p_max.numerator * (den // p_max.denominator) - base) // steps
+    g = math.gcd(base, step, den)
+    base, step, den = base // g, step // g, den // g
     rows: list[CurveRow] = []
 
     def grid_p(k: int) -> Fraction:
         return Fraction(base + k * step, den)
 
     def grid(start: int, stop: int, i: int) -> None:
-        piece, label = psi.pieces[i], str(i + 1)
+        label = str(i + 1)
+        ints, lcm = psi.pieces[i]._integer_coeffs
+        d = len(ints) - 1
+        scale = lcm * den**d
+        # diffs[m] is the m-th forward difference of the numerators at k
+        diffs = [_horner(ints, base + k * step, den)
+                 for k in range(start, min(stop, start + d + 1))]
+        for m in range(1, len(diffs)):
+            for j in range(len(diffs) - 1, m - 1, -1):
+                diffs[j] -= diffs[j - 1]
+        top = range(len(diffs) - 1)
         for k in range(start, stop):
-            p = grid_p(k)
-            rows.append(CurveRow(p, piece(p), label))
+            p = Fraction(base + k * step, den)
+            rows.append(CurveRow(p, Fraction(diffs[0], scale), label))
+            for j in top:
+                diffs[j] += diffs[j + 1]
 
     # bps[0] = 0 < p_min and bps[-1] = 1 > p_max
     j = psi.piece_index(p_min) + 1  # the first breakpoint at or after p_min

@@ -93,7 +93,10 @@ def exact_fraction(value) -> Fraction:
     Floats are refused on purpose: Fraction(0.9) is the binary value
     0.90000000000000002220446..., which silently breaks every knife-edge
     comparison downstream.  Pass strings like "9/10" or "0.9" instead.
+    A Fraction (not a subclass) is immutable and returned as it is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "refusing inexact float %r; pass a Fraction, int or string "

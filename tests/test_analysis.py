@@ -10,7 +10,10 @@ from hypothesis import example, given, strategies as hst
 from hatgame.adequate import Signature, adequate_sets_cached, signature
 from hatgame.analysis import (
     COVERING_CODE_SIZE,
+    ROOT_WIDTH,
     CurveRow,
+    DominanceResult,
+    _interval_weights,
     complexity_table,
     count_optimal_sets,
     covering_check,
@@ -30,6 +33,7 @@ from hatgame.polys import (
     SQRT2_MINUS_1,
     Sqrt2Num,
     TWO_MINUS_SQRT2,
+    _rational_inside,
 )
 
 HALF = Fraction(1, 2)
@@ -232,6 +236,77 @@ def test_dominance_graph_matches_pinned_output(key):
     )
     for _i, _j, roots in g.crossings:
         assert all(type(lo) is Fraction and type(hi) is Fraction for lo, hi in roots)
+
+
+def _sturm_dominance(sig_a, sig_b, interval):
+    """dominance by the Sturm path alone: the difference polynomial's
+    isolated and refined roots, else its sign at one inside point."""
+    lo, hi = interval
+    diff = signature_poly(sig_a) - signature_poly(sig_b)
+    if diff.is_zero:
+        return DominanceResult("equal")
+    roots = tuple(
+        diff.refine_root(a, b, ROOT_WIDTH) for a, b in diff.isolate_roots_open(lo, hi)
+    )
+    if roots:
+        return DominanceResult("crossing", roots)
+    less = diff(_rational_inside(lo, hi)) < 0
+    return DominanceResult("always_less" if less else "always_greater")
+
+
+@hst.composite
+def class_pairs(draw):
+    n = draw(hst.integers(2, 6))
+    counts = hst.lists(hst.integers(0, 6), min_size=n + 1, max_size=n + 1)
+    return Signature(tuple(draw(counts))), Signature(tuple(draw(counts)))
+
+
+#: Rational intervals, some of them reaching outside (0, 1).
+rational_intervals = hst.sets(
+    hst.fractions(-1, 2, max_denominator=12), min_size=2, max_size=2
+).map(sorted)
+
+
+@given(class_pairs(), rational_intervals)
+# pairs that touch at a double root without swapping order: both paths
+# report a crossing, and the coefficient signs never decide one
+@example((sig("022210"), sig("111310")), [Fraction(0), Fraction(1)])
+@example((sig("022210"), sig("111310")), [HALF, Fraction(1)])
+@example((sig("102310"), sig("031021")), [Fraction(0), HALF])
+def test_dominance_matches_the_sturm_path(pair, interval):
+    assert dominance(*pair, tuple(interval)) == _sturm_dominance(*pair, interval)
+
+
+def test_dominance_builds_a_chain_only_for_crossings(monkeypatch):
+    # on the three rational intervals the coefficient signs decide all 94
+    # of the 198 pairs that do not cross
+    chains = []
+    isolate = Poly.isolate_roots_open
+    monkeypatch.setattr(
+        Poly, "isolate_roots_open", lambda f, lo, hi: chains.append(f) or isolate(f, lo, hi)
+    )
+    intervals = [(Fraction(0), HALF), (HALF, Fraction(1)), (Fraction(0), Fraction(1))]
+    graphs = [dominance_graph(5, interval) for interval in intervals]
+    assert sum(len(g.edges) for g in graphs) == 94
+    assert len(chains) == sum(len(g.crossings) for g in graphs) == 104
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_interval_weights_on_the_unit_interval_are_unit_vectors(n):
+    assert _interval_weights(n, 0, 1, 1) == tuple(
+        tuple(int(k == z) for k in range(n + 1)) for z in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("a1, a2, d", [(1, 2, 3), (2, 5, 8), (-3, 7, 4)])
+@pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)])
+def test_interval_weights_are_the_monomials_in_s_and_t(n, a1, a2, d, t):
+    s = 1 - t
+    p = Fraction(a1, d) * s + Fraction(a2, d) * t
+    for z, row in enumerate(_interval_weights(n, a1, a2, d)):
+        form = sum(w * s ** (n - k) * t**k for k, w in enumerate(row))
+        assert form == d**n * p**z * (1 - p) ** (n - z)
 
 
 def test_dominance_rejects_mismatched_lengths():
@@ -560,12 +635,25 @@ unit_rationals = hst.fractions(0, 1, max_denominator=24).filter(lambda p: 0 < p 
 @example(5, [HALF, Fraction(3, 5)], 3)  # starts on a breakpoint
 @example(2, [Fraction(1, 10), HALF], 4)  # ends on one
 @example(5, [Fraction(2, 5), Fraction(41, 100)], 7)  # no grid point past sqrt2 - 1
+# runs of fewer rows than the d + 1 = 6 that seed the differences
+@example(5, [Fraction(1, 3), Fraction(3, 5)], 1)
+@example(5, [Fraction(1, 3), Fraction(3, 5)], 2)
+@example(5, [Fraction(1, 3), Fraction(3, 5)], 3)
+@example(5, [Fraction(1, 3), Fraction(3, 5)], 4)
 def test_psi_curve_matches_naive_build(n, ends, steps):
     p_min, p_max = ends
     got = psi_curve(n, p_min, p_max, steps)
     want = _naive_psi_curve(n, p_min, p_max, steps)
     shape = lambda r: (r.p, type(r.p), r.psi, type(r.psi), r.piece, r.is_breakpoint)
     assert [shape(r) for r in got] == [shape(r) for r in want]
+
+
+def test_psi_curve_fine_grid_matches_naive_build():
+    # step 1/12000, too slow for a hypothesis example's deadline: lcm times
+    # steps gives den = 143 976 000, which the grid's gcd brings to 12000
+    args = (5, Fraction(1, 12000), Fraction(11999, 12000), 11998)
+    shape = lambda r: (r.p, type(r.p), r.psi, type(r.psi), r.piece, r.is_breakpoint)
+    assert [shape(r) for r in psi_curve(*args)] == [shape(r) for r in _naive_psi_curve(*args)]
 
 
 # ---------------------------------------------------------------------------

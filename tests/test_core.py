@@ -40,6 +40,7 @@ from hatgame.core import (
     config_probability,
     count_whites,
     evaluate_matrix,
+    exact_fraction,
     flip,
     losing_configs,
     score,
@@ -67,6 +68,20 @@ def test_params_derive_q():
 def test_params_reject_floats():
     with pytest.raises(TypeError):
         GameParams(3, 0.9)
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass: exact, but not returned as it is."""
+
+
+def test_exact_fraction_returns_a_fraction_itself():
+    x = Fraction(9, 10)
+    assert exact_fraction(x) is x
+    sub = exact_fraction(_Ratio(9, 10))
+    assert type(sub) is Fraction and sub == x
+    assert type(exact_fraction(3)) is Fraction and exact_fraction("9/10") == x
+    with pytest.raises(TypeError, match="inexact float"):
+        exact_fraction(0.9)
 
 
 @pytest.mark.parametrize("n", [1, 0, 17, -2])
