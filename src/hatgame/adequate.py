@@ -36,6 +36,7 @@ from .core import (
     _check_config,
     _check_limit,
     _check_n,
+    _setattr,
     score_table,
 )
 
@@ -145,8 +146,8 @@ class AdequateSet(_Frozen):
             raise ValueError(
                 "%r is not adequate for n=%d" % (tuple(sorted(elems)), n_players)
             )
-        object.__setattr__(self, "elements", tuple(sorted(elems)))
-        object.__setattr__(self, "n_players", n_players)
+        _setattr(self, "elements", tuple(sorted(elems)))
+        _setattr(self, "n_players", n_players)
 
     @property
     def size(self) -> int:
@@ -172,7 +173,7 @@ class Signature(_Frozen):
         counts = tuple(int(c) for c in counts)
         if len(counts) < 3 or any(c < 0 for c in counts):
             raise ValueError("invalid signature counts %r" % (counts,))
-        object.__setattr__(self, "counts", counts)
+        _setattr(self, "counts", counts)
 
     @property
     def n_players(self) -> int:
@@ -260,7 +261,7 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
         raise ValueError("size must be in [1, %d], got %r" % (h, size))
     full = _full_mask(n)
     balls = _balls(n)
-    coverers = [[e for e in range(h) if (balls[c] >> e) & 1] for c in range(h)]
+    coverers = _search_tables(n, True)[1]  # in index order
     per_ball = n + 1
     found: list[tuple[int, ...]] = []
 
@@ -361,12 +362,10 @@ def _layer_prices(n: int, weights: Sequence[int]) -> list[int]:
     configurations with z white hats, which weigh ``weights[z]``.
 
     An element of layer j covers one configuration of layer j, j of layer
-    j-1 and n-j of layer j+1, and its dual constraint is that the prices
-    of its ball sum to at most (n+1) times its weight.  Each layer starts
-    at its cheapest coverer's weight, which keeps every constraint; then,
-    lightest layer first, each is raised by as much as the slack of the
-    element layers covering it allows.  The prices stay feasible and never
-    fall below the starting ones.
+    j-1 and n-j of layer j+1; its dual constraint bounds its ball's prices
+    by n+1 times its weight.  Each layer starts at its cheapest coverer's
+    weight, which is feasible, and is then raised, lightest layer first,
+    as far as the slack of the layers covering it allows.
     """
     # the 0 appended prices the layers -1 and n+1, which hold nothing
     prices = [min(weights[max(k - 1, 0):k + 2]) for k in range(n + 1)] + [0]
@@ -389,6 +388,46 @@ def _layer_prices(n: int, weights: Sequence[int]) -> list[int]:
     return prices[:-1]
 
 
+@lru_cache(maxsize=64)
+def _search_tables(n: int, half: bool) -> tuple:
+    """The element order of :func:`_cover_search` (by weight, then index),
+    each configuration's coverers in that order, and the order's runs of
+    equal weight as (first element, count, mask).  At the heavier color
+    the weight falls as the popcount grows, unless p = 1/2 ties them all."""
+    h = 1 << n
+    key = (lambda e: e) if half else (lambda e: (-e.bit_count(), e))
+    order = tuple(sorted(range(h), key=key))
+    coverers = tuple(tuple(sorted([c] + [c ^ 1 << k for k in range(n)], key=key))
+                     for c in range(h))
+    if half:
+        return order, coverers, ((0, h, _full_mask(n)),)
+    masks = _popcount_masks(n)
+    return order, coverers, tuple(((1 << k) - 1, math.comb(n, k), masks[k])
+                                  for k in range(n, -1, -1))
+
+
+def _greedy_cover(n: int, weights: Sequence[int]) -> tuple[int, ...]:
+    """Repeatedly the element of least weight per newly covered
+    configuration (scaled by lcm(1..n+1) to stay integral), lowest first."""
+    full, balls = _full_mask(n), _balls(n)
+    scale = math.lcm(*range(1, n + 2))
+    cover, covered = (), 0
+    while covered != full:
+        free = full & ~covered
+        _, _, e = min([(w * scale // g, w, e)
+                       for e, (w, ball) in enumerate(zip(weights, balls))
+                       if (g := (ball & free).bit_count())])
+        covered |= balls[e]
+        cover += (e,)
+    return cover
+
+
+@lru_cache(maxsize=32)
+def _plain_greedy(n: int) -> tuple[int, ...]:
+    """The greedy cover with equal weights, as at p = 1/2."""
+    return _greedy_cover(n, [1] * (1 << n))
+
+
 def _cover_search(
     n: int,
     params: GameParams,
@@ -398,96 +437,73 @@ def _cover_search(
     """Minimum-probability adequate set, over all sizes or of exactly
     ``size`` elements (``None`` when no set of that size exists).
 
-    Branch and bound over radius-1 ball covers: branch on the elements
-    able to cover the lowest uncovered configuration, cheapest first, with
-    earlier branches banned in later ones so no cover is visited twice.
-    It runs on the integer weights of :attr:`GameParams.weights` (each
-    probability scaled by b^n for p = a/b).
+    Branch and bound on the integer :attr:`GameParams.weights`, at the
+    heavier color: for p < 1/2 it searches at 1 - p and returns the
+    complement (e XOR (2^n - 1)) of that witness.  A node branches on the
+    coverers of its lowest uncovered configuration ``low`` in the order of
+    :func:`_search_tables`, each banned in the branches after it.  A child
+    is built, counted and cut in its parent's loop; only children passing
+    every cut are called.
 
-    The search always runs at the heavier color: for p < 1/2 it searches
-    at 1 - p and returns the complement (e XOR (2^n - 1)) of that witness,
-    which has the same value and the reversed signature.  Mirrored p thus
-    grow the same tree and give complementary witnesses.
+    Coordinate symmetry: a node keeps one column per coordinate, the bits
+    of its chosen elements there.  Coverers flipping ``low`` along i and k
+    are one orbit when columns i and k and the bits of ``low`` at i and k
+    are equal; only the first is branched on.  The swap (i k) fixes the
+    chosen elements and ``low`` and keeps weights, so it maps a cover of a
+    skipped branch onto one of equal weight reached earlier.
 
-    Coordinate symmetry prunes every node.  A node keeps one column per
-    coordinate, the bits of its chosen elements there.  Two coverers of
-    the lowest uncovered configuration ``low`` that flip it along
-    coordinates i and k are one orbit when columns i and k are equal and
-    ``low`` has the same bit at i and k; only the first member of an orbit
-    (in coverer order) is branched on, and the later ones are banned in
-    the later branches without a subtree of their own.  This is sound:
-    the transposition (i k) fixes every chosen element and ``low`` and
-    keeps weights, so it maps a cover in a skipped branch to one of equal
-    weight that the search order reaches earlier (in the first member's
-    branch, or, if that cover holds a banned element, in an even earlier
-    branch; so bans need not be invariant).  The first optimum in search
-    order thus never lies in a skipped subtree.  At the root nothing is
-    chosen and the n unit vectors form one orbit.  Columns are built only
-    at nodes that pass the bounds and dropped once all n differ, since
-    choosing more elements only splits them further.
+    Over all sizes the incumbent is the greedy cover, and the search
+    starts from one more than the lighter of its irredundant part and the
+    lightest translate (XOR by any v) of the p = 1/2 greedy cover.  A
+    child is cut when its weight plus the cheapest coverer of its ``low``,
+    or plus its dual bound, reaches the incumbent.  The dual is the
+    uncovered configurations' prices (:func:`_layer_prices`) over n+1,
+    rounded up, carried down the tree: an element of popcount k covers
+    only the layers k-1, k and k+1.  Weights are positive and every cut
+    is a valid bound, so the witness is the greedy cover if it ties the
+    optimum, else the first optimum in search order.
 
-    Over all sizes, the search starts from a greedy cover, and its
-    incumbent is one more than the weight of the greedy cover's
-    irredundant part when that is lighter.  Its bound is the larger of the
-    cheapest coverer of the lowest uncovered configuration and a dual
-    bound.  The dual prices each configuration by its layer (its count of
-    white hats, after the color flip), scaled by n+1, as
-    :func:`_layer_prices` sets them: no ball's prices sum to more than
-    n+1 times its element's weight, so the uncovered prices summed and
-    divided by n+1 (rounded up) bound the cost of covering the rest.  That
-    is one popcount per distinct price, at most n+1.  At p = 1/2 every
-    price is the common weight; away from it the root bound is near the
-    LP relaxation (94% of the optimum at n = 6, p = 8707/10000, where the
-    cheapest-coverer prices gave 21%).  The coverers of ``low`` are tried
-    cheapest first and the loop stops at the first one that reaches the
-    incumbent.  Every cut is a valid bound, so the search still reaches
-    the first optimum in its order.  All weights are positive, so the
-    optimum is irredundant.  The witness is the greedy cover if it ties
-    the optimum, else the first optimum in search order.
-
-    At a fixed size, each finished cover is padded with the cheapest
-    unchosen elements (the best padding of that cover), and the bound adds
-    a counting bound (each element covers at most n+1 configurations) to
-    the cheapest unchosen elements; the witness is the first optimum in
-    search order.  Exceeding ``node_budget`` raises
+    At a fixed size a finished cover is padded with the cheapest unchosen
+    elements, and a child is cut when more configurations are uncovered
+    than its elements left cover (n+1 each), or when its weight plus its
+    lightest unchosen elements reaches the incumbent; the witness is the
+    first optimum in search order.  Exceeding ``node_budget`` raises
     :class:`ResourceLimitError`.
     """
     h = 1 << n
     full = _full_mask(n)
     balls = _balls(n)
+    half = 2 * params.p_white == 1
     # searching at 1 - p weighs each element as its complement does at p
     flip = h - 1 if 2 * params.p_white < 1 else 0
     weights = [params.weights[n - (c ^ flip).bit_count()] for c in range(h)]
-    order = sorted(range(h), key=lambda e: (weights[e], e))
-    coverers = [[e for e in order if (balls[c] >> e) & 1] for c in range(h)]
+    order, coverers, runs = _search_tables(n, half)
+    runs = [(weights[e], count, mask) for e, count, mask in runs]
+    cheap = [weights[cov[0]] for cov in coverers]
     per_ball = n + 1
 
     best: int | None = None
     best_set: tuple[int, ...] = ()
+    dual = 0
     if size is None:
-        # one mask of configurations per distinct layer price; layer z is
-        # popcount n - z, or z once the colors are flipped
-        price_masks: dict[int, int] = {}
-        masks = _popcount_masks(n)
-        for z, w in enumerate(_layer_prices(n, params.weights)):
-            price_masks[w] = price_masks.get(w, 0) | masks[z if flip else n - z]
-        prices = tuple(price_masks.items())
-        # greedy incumbent: repeatedly take the element of least weight per
-        # newly covered configuration (scaled by lcm(1..n+1) to stay integral)
-        scale = math.lcm(*range(1, n + 2))
-        covered = 0
-        while covered != full:
-            gains = [(balls[e] & ~covered).bit_count() for e in range(h)]
-            e = min(
-                (e for e in range(h) if gains[e]),
-                key=lambda e: (weights[e] * scale // gains[e], weights[e], e),
-            )
-            covered |= balls[e]
-            best_set += (e,)
+        # layer prices by popcount (layer z is popcount n - z, or z once
+        # the colors are flipped), and per element the prices and ball
+        # parts of its three layers; index -1 and n+1 hold nothing
+        layer = _layer_prices(n, params.weights)
+        price = [layer[c if flip else n - c] for c in range(n + 1)] + [0]
+        masks = _popcount_masks(n) + (0,)
+        parts = []
+        for e in range(h):
+            c = e.bit_count()
+            parts.append((price[c - 1], balls[e] & masks[c - 1], price[c],
+                          price[c + 1], balls[e] & masks[c + 1]))
+            dual += price[c]
+        base = _plain_greedy(n)
+        best_set = base if half else _greedy_cover(n, weights)
         best = sum(weights[e] for e in best_set)
-        # its irredundant part, dropping heaviest first, bounds the optimum
-        # too; best = that weight + 1 still lets the search reach its first
-        # optimum, so the witness stays the greedy cover or that optimum
+        # its irredundant part, dropping heaviest first, and the lightest
+        # translate of `base` bound the optimum too; that weight + 1 still
+        # lets the search reach its first optimum
         kept = list(best_set)
         for e in sorted(best_set, key=lambda e: (-weights[e], e)):
             rest = 0
@@ -496,57 +512,33 @@ def _cover_search(
                     rest |= balls[f]
             if rest == full:
                 kept.remove(e)
-        reduced = sum(weights[e] for e in kept)
-        if reduced < best:
-            best = reduced + 1
+        best = min(best, sum(weights[e] for e in kept) + 1,
+                   min(sum([weights[e ^ v] for e in base]) for v in range(h)) + 1)
 
-    def cheapest_unchosen(chosen: tuple[int, ...], count: int) -> list[int]:
-        return list(itertools.islice((e for e in order if e not in chosen), count))
+    def lightest(taken: int, count: int) -> int:
+        # weight of the `count` lightest elements outside `taken`
+        total = 0
+        for w, run, mask in runs:
+            free = run - (taken & mask).bit_count()
+            if free >= count:
+                return total + count * w
+            total += free * w
+            count -= free
 
-    nodes = 0
-
-    def rec(covered: int, chosen: tuple[int, ...], weight: int, banned: int,
-            cols: tuple[int, ...] | None):
+    def rec(uncovered: int, low: int, chosen: tuple[int, ...], weight: int,
+            banned: int, cols: tuple[int, ...] | None, dual: int, taken: int):
         nonlocal best, best_set, nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise ResourceLimitError(
-                "cover search exceeded the node budget (%d)" % node_budget
-            )
-        if covered == full:
-            if size is not None:
-                extras = cheapest_unchosen(chosen, size - len(chosen))
-                chosen += tuple(extras)
-                weight += sum(weights[e] for e in extras)
-            if best is None or weight < best:
-                best, best_set = weight, chosen
-            return
-        uncovered = full & ~covered
-        low = (uncovered & -uncovered).bit_length() - 1
-        if size is not None:
-            left = size - len(chosen)
-            if uncovered.bit_count() > left * per_ball:
-                return
-        if best is not None:
-            if size is None:
-                if weight + weights[coverers[low][0]] >= best:
-                    return
-                dual = sum(w * (uncovered & m).bit_count() for w, m in prices)
-                bound = -(-dual // per_ball)
-            else:
-                bound = sum(weights[e] for e in cheapest_unchosen(chosen, left))
-            if weight + bound >= best:
-                return
         if cols is not None and chosen:
             # `cols` are the parent's columns: append the last element's bits
             last = chosen[-1]
-            cols = tuple(c << 1 | (last >> i) & 1 for i, c in enumerate(cols))
+            cols = tuple([c << 1 | (last >> i) & 1 for i, c in enumerate(cols)])
             if len(set(cols)) == n:
                 cols = None
         tried = 0
         orbits = set()
         for e in coverers[low]:
-            if size is None and weight + weights[e] >= best:
+            w = weight + weights[e]
+            if size is None and w >= best:
                 break  # coverers are in weight order: the rest weigh no less
             if cols is not None and e != low:
                 # e flips `low` along k; a swap of two coordinates with equal
@@ -558,12 +550,51 @@ def _cover_search(
                     continue
                 orbits.add(orbit)
             # chosen elements never cover `low`, so only bans filter here
-            if not (banned >> e) & 1:
-                rec(covered | balls[e], chosen + (e,), weight + weights[e],
-                    banned | tried, cols)
-                tried |= 1 << e
+            if (banned >> e) & 1:
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise ResourceLimitError(
+                    "cover search exceeded the node budget (%d)" % node_budget
+                )
+            rest = uncovered & ~balls[e]
+            if not rest:
+                child = chosen + (e,)
+                if size is not None:
+                    extras = tuple(itertools.islice(
+                        (x for x in order if x not in child), size - len(child)))
+                    child += extras
+                    w += sum(weights[x] for x in extras)
+                if best is None or w < best:
+                    best, best_set = w, child
+            else:
+                at = (rest & -rest).bit_length() - 1
+                if size is None:
+                    if w + cheap[at] < best:
+                        lo_price, lo, own, hi_price, hi = parts[e]
+                        d = (dual - lo_price * (uncovered & lo).bit_count()
+                             - own * (uncovered >> e & 1)
+                             - hi_price * (uncovered & hi).bit_count())
+                        if w - (-d // per_ball) < best:
+                            rec(rest, at, chosen + (e,), w, banned | tried,
+                                cols, d, 0)
+                else:
+                    left = size - len(chosen) - 1
+                    mask = taken | 1 << e
+                    if rest.bit_count() <= left * per_ball and (
+                            best is None or w + lightest(mask, left) < best):
+                        rec(rest, at, chosen + (e,), w, banned | tried,
+                            cols, 0, mask)
+            tried |= 1 << e
 
-    rec(0, (), 0, 0, (0,) * n)
+    nodes = 1  # the root, which has its own cuts and is never a cover
+    if node_budget is not None and node_budget < 1:
+        raise ResourceLimitError(
+            "cover search exceeded the node budget (%d)" % node_budget
+        )
+    if (h <= size * per_ball if size is not None
+            else cheap[0] < best and -(-dual // per_ball) < best):
+        rec(full, 0, (), 0, 0, (0,) * n, dual, 0)
     if best is None:
         return None
     value = Fraction(best, params.total_weight)
@@ -573,20 +604,10 @@ def _cover_search(
 def min_cover_optimize(
     n: int, params: GameParams, node_budget: int | None = None
 ) -> tuple[AdequateSet, Fraction]:
-    """Adequate set of globally minimum probability, over all sizes, by the
-    exact branch and bound of :func:`_cover_search`; the returned optimum
-    is irredundant.  For p < 1/2 the witness is the complement of the one
-    at 1 - p; for p >= 1/2 it is the greedy cover if that ties the optimum,
-    else the first optimum in search order.  The search skips, at every
-    node, the branches that a swap of two coordinates maps onto an earlier
-    branch, which never holds that first optimum, so the witness is the
-    one of the unpruned search.  Its bound prices the uncovered
-    configurations by popcount layer (a dual solution of the cover LP,
-    near its optimum at the root), and its first incumbent is one more
-    than the weight of the greedy cover's irredundant part.  Both cut
-    only subtrees that hold no cover lighter than the incumbent, so they
-    too leave the witness alone.  n = 7 at p = 3/5 takes 90
-    nodes, and at 7/10 and 3/4 about 3.5M and 5.0M.
+    """Adequate set of globally minimum probability, over all sizes, by
+    the exact branch and bound of :func:`_cover_search`, which says which
+    optimum is the witness; it is irredundant.  n = 7 takes at most 85
+    nodes at every p = k/20.
 
     ``node_budget`` bounds the search-tree size for best-effort runs on
     larger n; exceeding it raises :class:`ResourceLimitError`.  Without a
@@ -621,9 +642,7 @@ def min_cover_size(n: int) -> int:
 
 class SweepRow(_Frozen):
     """One row of a size sweep: the best adequate set of exactly ``size``
-    elements, found by the branch and bound of :func:`_cover_search`;
-    ``witness`` is the first optimum in its search order at p >= 1/2, and
-    the complement of the witness at 1 - p for p < 1/2."""
+    elements and its witness, from :func:`_cover_search`."""
 
     __slots__ = _fields = ("size", "signature", "min_sum", "witness")
 
@@ -634,10 +653,10 @@ class SweepRow(_Frozen):
         min_sum: Fraction | None,
         witness: AdequateSet | None,
     ):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "min_sum", min_sum)
-        object.__setattr__(self, "witness", witness)
+        _setattr(self, "size", size)
+        _setattr(self, "signature", signature)
+        _setattr(self, "min_sum", min_sum)
+        _setattr(self, "witness", witness)
 
 
 def size_sweep(

@@ -29,7 +29,14 @@ from .adequate import (
     min_cover_optimize,
     min_cover_size,
 )
-from .core import _LIMITS, GameParams, _Frozen, _check_limit, exact_fraction
+from .core import (
+    _LIMITS,
+    GameParams,
+    _Frozen,
+    _check_limit,
+    _setattr,
+    exact_fraction,
+)
 from .polys import (
     Number,
     Poly,
@@ -106,8 +113,8 @@ class DominanceResult(_Frozen):
     def __init__(
         self, relation: str, roots: tuple[tuple[Fraction, Fraction], ...] = ()
     ):
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "roots", roots)
+        _setattr(self, "relation", relation)
+        _setattr(self, "roots", roots)
 
 
 #: Isolating intervals returned by :func:`dominance` are refined below
@@ -194,11 +201,11 @@ class DominanceGraph(_Frozen):
         edges: tuple[tuple[int, int], ...],
         crossings: tuple[tuple[int, int, tuple[tuple[Fraction, Fraction], ...]], ...],
     ):
-        object.__setattr__(self, "n_players", n_players)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "crossings", crossings)
+        _setattr(self, "n_players", n_players)
+        _setattr(self, "interval", interval)
+        _setattr(self, "nodes", nodes)
+        _setattr(self, "edges", edges)
+        _setattr(self, "crossings", crossings)
 
     def node_labels(self) -> tuple[str, ...]:
         return tuple(s.compact() for s in self.nodes)
@@ -290,9 +297,9 @@ class PiecewisePsi(_Frozen):
         breakpoints: tuple[Sqrt2Num, ...],
         pieces: tuple[Poly, ...],
     ):
-        object.__setattr__(self, "n_players", n_players)
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "pieces", pieces)
+        _setattr(self, "n_players", n_players)
+        _setattr(self, "breakpoints", breakpoints)
+        _setattr(self, "pieces", pieces)
 
     def piece_index(self, p: Number) -> int:
         """Index of the piece whose closed interval contains p (the
@@ -364,10 +371,10 @@ class CurveRow(_Frozen):
     __slots__ = _fields = ("p", "psi", "piece", "is_breakpoint")
 
     def __init__(self, p: Number, psi: Number, piece: str, is_breakpoint: bool = False):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "piece", piece)
-        object.__setattr__(self, "is_breakpoint", is_breakpoint)
+        _setattr(self, "p", p)
+        _setattr(self, "psi", psi)
+        _setattr(self, "piece", piece)
+        _setattr(self, "is_breakpoint", is_breakpoint)
 
 
 def psi_curve(
@@ -513,11 +520,11 @@ class CoveringReport(_Frozen):
         agrees: bool | None,
         symmetric_win_probability: Fraction,
     ):
-        object.__setattr__(self, "n_players", n_players)
-        object.__setattr__(self, "computed_min_size", computed_min_size)
-        object.__setattr__(self, "covering_code_size", covering_code_size)
-        object.__setattr__(self, "agrees", agrees)
-        object.__setattr__(self, "symmetric_win_probability", symmetric_win_probability)
+        _setattr(self, "n_players", n_players)
+        _setattr(self, "computed_min_size", computed_min_size)
+        _setattr(self, "covering_code_size", covering_code_size)
+        _setattr(self, "agrees", agrees)
+        _setattr(self, "symmetric_win_probability", symmetric_win_probability)
 
 
 def covering_check(n: int) -> CoveringReport:
@@ -566,11 +573,11 @@ class ComplexityRow(_Frozen):
         reduced_strategies: int,
         candidate_sets: int,
     ):
-        object.__setattr__(self, "n_players", n_players)
-        object.__setattr__(self, "min_size", min_size)
-        object.__setattr__(self, "full_strategies", full_strategies)
-        object.__setattr__(self, "reduced_strategies", reduced_strategies)
-        object.__setattr__(self, "candidate_sets", candidate_sets)
+        _setattr(self, "n_players", n_players)
+        _setattr(self, "min_size", min_size)
+        _setattr(self, "full_strategies", full_strategies)
+        _setattr(self, "reduced_strategies", reduced_strategies)
+        _setattr(self, "candidate_sets", candidate_sets)
 
     @property
     def full_sci(self) -> str:

@@ -105,11 +105,16 @@ def exact_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+# bound once: every record's __init__ sets its fields through it, past
+# _Frozen.__setattr__
+_setattr = object.__setattr__
+
+
 class _Frozen:
     """Immutable value with the equality, hash and repr of a frozen
     dataclass over the attributes named in ``_fields``; pickle and copy
     call the class again on those values.  Each subclass sets its
-    attributes in its own ``__init__`` through ``object.__setattr__``."""
+    attributes in its own ``__init__`` through ``_setattr``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -159,8 +164,8 @@ class GameParams(_Frozen):
         p = exact_fraction(p_white)
         if not 0 < p < 1:
             raise ValueError("p_white must satisfy 0 < p < 1, got %s" % (p,))
-        object.__setattr__(self, "n_players", n_players)
-        object.__setattr__(self, "p_white", p)
+        _setattr(self, "n_players", n_players)
+        _setattr(self, "p_white", p)
 
     @cached_property
     def q_black(self) -> Fraction:
@@ -324,7 +329,7 @@ class DecisionMatrix(_Frozen):
             for v in row:
                 if v not in _VALID_ENTRIES:
                     raise ValueError("invalid decision value %r" % (v,))
-        object.__setattr__(self, "rows", rows)
+        _setattr(self, "rows", rows)
 
     @property
     def n_players(self) -> int:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .core import _Frozen, exact_fraction
+from .core import _Frozen, _setattr, exact_fraction
 
 
 class Sqrt2Num(_Frozen):
@@ -51,8 +51,8 @@ class Sqrt2Num(_Frozen):
     __slots__ = _fields = ("a", "b")
 
     def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
-        object.__setattr__(self, "a", exact_fraction(a))
-        object.__setattr__(self, "b", exact_fraction(b))
+        _setattr(self, "a", exact_fraction(a))
+        _setattr(self, "b", exact_fraction(b))
 
     # -- exact ordering -----------------------------------------------------
 
@@ -152,7 +152,7 @@ class Poly(_Frozen):
         cs = [exact_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _setattr(self, "coeffs", tuple(cs))
 
     # -- constructors -------------------------------------------------------
 

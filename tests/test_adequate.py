@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from hatgame.adequate import (
     AdequateSet,
@@ -13,6 +13,8 @@ from hatgame.adequate import (
     Signature,
     _cover_search,
     _layer_prices,
+    _plain_greedy,
+    _search_tables,
     adequate_sets_cached,
     ball_mask,
     enumerate_adequate,
@@ -25,6 +27,7 @@ from hatgame.adequate import (
     signature,
     size_sweep,
 )
+from hatgame.analysis import psi_closed_form
 from hatgame.core import GameParams, ResourceLimitError
 
 HALF = Fraction(1, 2)
@@ -469,29 +472,31 @@ def test_min_cover_six_players_half_is_a_smallest_code():
 
 
 def test_min_cover_six_players_mirrored_tenths():
-    # the budgets guard the node counts, 16 334 at both (p = 1/10 used to
+    # the budgets guard the node counts, 14 180 at both (p = 1/10 used to
     # exceed 30M nodes)
     full = (1 << 6) - 1
-    low = min_cover_optimize(6, GameParams(6, Fraction(1, 10)), node_budget=18_000)
-    high = min_cover_optimize(6, GameParams(6, NINE_TENTHS), node_budget=18_000)
+    low = min_cover_optimize(6, GameParams(6, Fraction(1, 10)), node_budget=15_600)
+    high = min_cover_optimize(6, GameParams(6, NINE_TENTHS), node_budget=15_600)
     assert low[1] == high[1] == Fraction(8119, 100000)
     assert low[0].elements == tuple(sorted(e ^ full for e in high[0].elements))
 
 
 def test_min_cover_six_players_witnesses_and_node_counts():
     # the coordinate-symmetry pruning, the layer dual bound, the
-    # irredundant incumbent and the cheapest-first cutoff all keep the
-    # first optimum in search order, so the witnesses are those of the
-    # unpruned search; the budgets, about 1.1 times the counts, guard the
-    # node counts (16 334, 295 734 and 213 469 nodes at 9/10, 1/2 and 3/5;
-    # 43 281, 295 741 and 524 962 with the cheapest-coverer dual bound)
+    # irredundant and translate incumbents and the cheapest-first cutoff
+    # all keep the first optimum in search order, so the witnesses are
+    # those of the unpruned search; the budgets, about 1.1 times the
+    # counts, guard the node counts (14 180, 295 734 and 204 538 nodes at
+    # 9/10, 1/2 and 3/5; 16 334, 295 734 and 213 469 without the translate
+    # incumbent, 43 281, 295 741 and 524 962 with the cheapest-coverer
+    # dual bound)
     expected = [
-        (NINE_TENTHS, 18_000,
+        (NINE_TENTHS, 15_600,
          (1, 6, 10, 28, 29, 31, 44, 45, 47, 48, 50, 51, 61, 63),
          Fraction(8119, 100000)),
         (HALF, 325_000,
          (0, 1, 2, 15, 23, 28, 39, 44, 52, 57, 58, 59), Fraction(3, 16)),
-        (Fraction(3, 5), 235_000,
+        (Fraction(3, 5), 225_000,
          (1, 3, 7, 12, 26, 29, 42, 45, 48, 52, 54, 59), Fraction(114, 625)),
     ]
     for p, budget, elements, value in expected:
@@ -508,11 +513,94 @@ def test_min_cover_six_players_witnesses_and_node_counts():
 
 def test_min_cover_seven_players_three_fifths():
     # the layer dual bound is within 0.1% of the optimum at the root here:
-    # 90 nodes, where the cheapest-coverer bound ran past 5M
+    # 80 nodes (90 without the translate incumbent), where the
+    # cheapest-coverer bound ran past 5M
     aset, value = min_cover_optimize(7, GameParams(7, Fraction(3, 5)), node_budget=1_000)
     assert value == Fraction(78, 625)
     assert aset.size == 16
     assert is_adequate(aset.elements, 7)
+
+
+@pytest.mark.parametrize("k", range(1, 20))
+def test_min_cover_seven_players_every_twentieth(k):
+    # the translate incumbent starts the search at the optimum's weight
+    # + 1: at most 85 nodes at any k/20 (1 at 1/2), where 7/10 and 3/4
+    # took 3.5M and 5.0M nodes without it
+    aset, value = min_cover_optimize(7, GameParams(7, Fraction(k, 20)), node_budget=1_000)
+    assert aset.size == 16
+    assert is_adequate(aset.elements, 7)
+    assert set_probability(aset, GameParams(7, Fraction(k, 20))) == value
+
+
+def test_min_cover_seven_players_half_is_one_node():
+    # the greedy cover at p = 1/2 is a perfect code, whose weight the
+    # root's dual bound reaches: the root is cut before any child is counted
+    aset, value = min_cover_optimize(7, GameParams(7, HALF), node_budget=1)
+    assert (aset.size, value) == (16, Fraction(1, 8))
+    assert is_adequate(aset.elements, 7)
+
+
+def test_min_cover_seven_players_witnesses_are_pinned():
+    # the witnesses and values the search gave before the translate
+    # incumbent, which must not move them
+    hamming_coset = (1, 6, 24, 31, 42, 45, 51, 52, 75, 76, 82, 85, 96, 103, 121, 126)
+    for p, value in [(Fraction(3, 5), Fraction(78, 625)),
+                     (Fraction(7, 10), Fraction(609, 5000)),
+                     (Fraction(3, 4), Fraction(15, 128))]:
+        aset, got = min_cover_optimize(7, GameParams(7, p), node_budget=1_000)
+        assert (aset.elements, got) == (hamming_coset, value)
+
+
+@given(
+    n=hst.integers(min_value=2, max_value=7),
+    p=hst.fractions(min_value=0, max_value=1, max_denominator=10_000).filter(
+        lambda p: 0 < p < 1),
+)
+@example(n=5, p=HALF)
+@settings(max_examples=100, deadline=None)
+def test_search_tables_match_the_weight_order(n, p):
+    # the cached tables depend on p only through p == 1/2: built as the
+    # search once built them per call, from the weights at the heavier
+    # color, they must agree at every p
+    h = 1 << n
+    flip = h - 1 if p < HALF else 0
+    weights = [GameParams(n, p).weights[n - (c ^ flip).bit_count()] for c in range(h)]
+    order = sorted(range(h), key=lambda e: (weights[e], e))
+    tables = _search_tables(n, p == HALF)
+    assert list(tables[0]) == order
+    for c in range(h):
+        ball = ball_mask(c, n)
+        assert list(tables[1][c]) == [e for e in order if ball >> e & 1]
+    # the runs of equal weight partition the order, in order
+    at = 0
+    for first, count, mask in tables[2]:
+        run = order[at:at + count]
+        assert run[0] == first
+        assert {weights[e] for e in run} == {weights[first]}
+        assert mask == sum(1 << e for e in run)
+        at += count
+    assert at == h
+    # successive runs differ in weight, so each run is a whole weight class
+    run_weights = [weights[first] for first, _, _ in tables[2]]
+    assert len(set(run_weights)) == len(run_weights)
+
+
+@given(p=hst.fractions(min_value=0, max_value=1, max_denominator=10_000).filter(
+    lambda p: 0 < p < 1))
+@settings(max_examples=40, deadline=None)
+def test_min_cover_five_players_matches_the_closed_form(p):
+    # the hand-coded Psi(5) shares no code with the search
+    _, value = min_cover_optimize(5, GameParams(5, p))
+    assert 1 - value == psi_closed_form(5)(p)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_translates_of_the_plain_greedy_cover_are_adequate(n):
+    # XOR by v maps radius-1 balls onto radius-1 balls; checked here with
+    # the score-comparison oracle, which knows nothing of balls
+    base = _plain_greedy(n)
+    for v in range(1 << n):
+        assert is_adequate([e ^ v for e in base], n)
 
 
 @given(
