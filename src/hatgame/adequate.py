@@ -244,15 +244,19 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
     Branches, as :func:`_cover_search` does, on the coverers (in index
     order) of the lowest uncovered configuration, each coverer tried being
     banned in the branches after it, so every cover is reached exactly
-    once.  A finished cover is padded with every combination of the
-    unbanned, unchosen elements.  A node is cut when more configurations
-    are uncovered than the elements left can cover (n+1 each).  The
-    listing is built in memory and sorted once.  Refused beyond the two
-    listing rows of ``core._LIMITS``: up front by n, and as soon as the
-    sets built plus the paddings of the next finished cover would pass
-    the listed-sets row; that count is a lower bound on the listing's
-    size, and the refusal says so.  An n outside [2, MAX_PLAYERS] is a
-    ``ValueError`` before either.
+    once.  A child is settled in its parent's loop: a finished cover is
+    padded there with every combination of the unbanned, unchosen
+    elements, and a child is called only when its uncovered configurations
+    fit in its elements left (n+1 each).  With one element left no call is
+    made: that element's ball holds every uncovered configuration, so it
+    covers the lowest two, and two distinct configurations share at most
+    two coverers; each unbanned one whose ball holds the rest ends a set.
+    The listing is built in memory and sorted once.  Refused beyond the
+    two listing rows of ``core._LIMITS``: up front by n, and as soon as
+    the sets built plus the paddings of the next finished cover (one per
+    one-left set) would pass the listed-sets row; that count is a lower
+    bound on the listing's size, and the refusal says so.  An n outside
+    [2, MAX_PLAYERS] is a ``ValueError`` before either.
     """
     _check_n(n)
     _check_limit("adequate-set listing at n", n)
@@ -265,28 +269,46 @@ def _cover_tuples(n: int, size: int) -> list[tuple[int, ...]]:
     per_ball = n + 1
     found: list[tuple[int, ...]] = []
 
-    def rec(covered: int, chosen: tuple[int, ...], banned: int, left: int):
-        if covered == full:
-            taken = banned
-            for e in chosen:
-                taken |= 1 << e
-            free = [e for e in range(h) if not (taken >> e) & 1]
-            _check_limit("sets in one adequate-set listing",
-                         len(found) + math.comb(len(free), left), at_least=True)
-            for extra in itertools.combinations(free, left):
-                found.append(tuple(sorted(chosen + extra)))
-            return
-        uncovered = full & ~covered
-        if uncovered.bit_count() > left * per_ball:
-            return
+    def rec(uncovered: int, chosen: tuple[int, ...], banned: int, left: int):
         low = (uncovered & -uncovered).bit_length() - 1
         for e in coverers[low]:
             # chosen elements never cover `low`, so only bans filter here
-            if not (banned >> e) & 1:
-                rec(covered | balls[e], chosen + (e,), banned, left - 1)
-                banned |= 1 << e
+            if (banned >> e) & 1:
+                continue
+            rest = uncovered & ~balls[e]
+            if not rest:
+                taken = banned | 1 << e
+                for x in chosen:
+                    taken |= 1 << x
+                free = [x for x in range(h) if not (taken >> x) & 1]
+                _check_limit("sets in one adequate-set listing",
+                             len(found) + math.comb(len(free), left - 1),
+                             at_least=True)
+                for extra in itertools.combinations(free, left - 1):
+                    found.append(tuple(sorted(chosen + (e,) + extra)))
+            elif rest.bit_count() > (left - 1) * per_ball:
+                pass  # more uncovered than the elements left can cover
+            elif left > 2:
+                rec(rest, chosen + (e,), banned, left - 1)
+            else:
+                # the last element covers rest's lowest two configurations;
+                # e and the chosen elements cover none, so only bans filter
+                a = rest & -rest
+                cand = balls[a.bit_length() - 1] & ~banned
+                if rest != a:
+                    b = rest ^ a
+                    cand &= balls[(b & -b).bit_length() - 1]
+                while cand:
+                    f = (cand & -cand).bit_length() - 1
+                    cand &= cand - 1
+                    if not rest & ~balls[f]:
+                        _check_limit("sets in one adequate-set listing",
+                                     len(found) + 1, at_least=True)
+                        found.append(tuple(sorted(chosen + (e, f))))
+            banned |= 1 << e
 
-    rec(0, (), 0, size)
+    if h <= size * per_ball:
+        rec(full, (), 0, size)
     found.sort()
     return found
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as hst
@@ -28,7 +29,7 @@ from hatgame.adequate import (
     size_sweep,
 )
 from hatgame.analysis import psi_closed_form
-from hatgame.core import GameParams, ResourceLimitError
+from hatgame.core import _LIMITS, GameParams, ResourceLimitError
 
 HALF = Fraction(1, 2)
 NINE_TENTHS = Fraction(9, 10)
@@ -210,7 +211,7 @@ def test_enumeration_is_lexicographic_and_valid():
     "n,size",
     [(2, s) for s in range(1, 5)]
     + [(3, s) for s in range(1, 9)]
-    + [(4, s) for s in range(4, 9)],
+    + [(4, s) for s in range(1, 17)],
 )
 def test_enumeration_matches_score_oracle_filter(n, size):
     # every size-subset in lexicographic order, kept when the
@@ -221,6 +222,43 @@ def test_enumeration_matches_score_oracle_filter(n, size):
         if is_adequate(elems, n)
     ]
     assert [a.elements for a in enumerate_adequate(n, size)] == expected
+
+
+@lru_cache(maxsize=None)
+def _five_player_listing(size):
+    listed = tuple(a.elements for a in enumerate_adequate(5, size))
+    return listed, frozenset(listed)
+
+
+@given(size=hst.sampled_from((7, 8)), data=hst.data())
+@settings(max_examples=150, deadline=None)
+def test_listing_membership_matches_score_oracle(size, data):
+    # a set is listed iff the score-comparison definition accepts it; draws
+    # come from the listing, from a listed set with one element swapped, and
+    # uniformly (almost never adequate)
+    listed, members = _five_player_listing(size)
+    source = data.draw(hst.sampled_from(("listed", "swapped", "uniform")))
+    if source == "uniform":
+        elems = data.draw(hst.sets(hst.integers(0, 31), min_size=size, max_size=size))
+    else:
+        elems = set(data.draw(hst.sampled_from(listed)))
+        if source == "swapped":
+            elems.remove(data.draw(hst.sampled_from(sorted(elems))))
+            elems.add(data.draw(hst.integers(0, 31).filter(lambda e: e not in elems)))
+    elems = tuple(sorted(elems))
+    assert (elems in members) == is_adequate(elems, 5)
+
+
+def test_one_left_listing_refused_at_the_same_count(monkeypatch):
+    # at the minimum size nothing is padded: every one of the 320 sets of
+    # n = 5, size 7 ends on its last element's two-ball read-off
+    monkeypatch.setitem(_LIMITS, "sets in one adequate-set listing", 319)
+    message = ("sets in one adequate-set listing is supported up to 319, "
+               "got at least 320")
+    with pytest.raises(ResourceLimitError, match="^%s$" % message):
+        list(enumerate_adequate(5, 7))
+    monkeypatch.setitem(_LIMITS, "sets in one adequate-set listing", 320)
+    assert len(list(enumerate_adequate(5, 7))) == 320
 
 
 def test_enumeration_five_players_size_eight_has_no_repeats():
