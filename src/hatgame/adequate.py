@@ -477,19 +477,27 @@ def _cover_search(
     Over all sizes the incumbent is the greedy cover, and the search
     starts from one more than the lighter of its irredundant part and the
     lightest translate (XOR by any v) of the p = 1/2 greedy cover.  A
-    child is cut when its weight plus the cheapest coverer of its ``low``,
-    or plus its dual bound, reaches the incumbent.  The dual is the
-    uncovered configurations' prices (:func:`_layer_prices`) over n+1,
-    rounded up, carried down the tree: an element of popcount k covers
-    only the layers k-1, k and k+1.  Weights are positive and every cut
-    is a valid bound, so the witness is the greedy cover if it ties the
-    optimum, else the first optimum in search order.
+    child is cut when its weight plus the cheapest coverer of its ``low``
+    reaches the incumbent.
 
-    At a fixed size a finished cover is padded with the cheapest unchosen
-    elements, and a child is cut when more configurations are uncovered
-    than its elements left cover (n+1 each), or when its weight plus its
-    lightest unchosen elements reaches the incumbent; the witness is the
-    first optimum in search order.  Exceeding ``node_budget`` raises
+    At a fixed size a finished cover is padded with the lightest unchosen
+    elements.  If the p = 1/2 greedy cover has at most ``size`` elements,
+    the search starts from one more than the lightest of its translates,
+    each padded with the lightest elements outside it; otherwise it
+    starts with no incumbent.  A child is cut when more configurations
+    are uncovered than its elements left cover (n+1 each), or when its
+    weight plus its lightest unchosen elements reaches the incumbent.
+
+    In both modes a child is cut when its weight, or its weight plus its
+    dual bound, reaches the incumbent.  The dual is the uncovered
+    configurations' prices (:func:`_layer_prices`) over n+1, rounded up,
+    carried down the tree: an element of popcount k covers only the
+    layers k-1, k and k+1.  Padding weighs at least 0, so the dual bounds
+    a sized cover too.  A start of W + 1 with W at least the optimum cuts
+    no node whose bound is at most the optimum, and only a strictly
+    lighter leaf replaces the incumbent.  So the witness is the greedy
+    cover if it ties the optimum over all sizes, else the first optimum
+    in search order.  Exceeding ``node_budget`` raises
     :class:`ResourceLimitError`.
     """
     h = 1 << n
@@ -504,38 +512,19 @@ def _cover_search(
     cheap = [weights[cov[0]] for cov in coverers]
     per_ball = n + 1
 
-    best: int | None = None
-    best_set: tuple[int, ...] = ()
+    # layer prices by popcount (layer z is popcount n - z, or z once the
+    # colors are flipped), and per element the prices and ball parts of its
+    # three layers; index -1 and n+1 hold nothing
+    layer = _layer_prices(n, params.weights)
+    price = [layer[c if flip else n - c] for c in range(n + 1)] + [0]
+    masks = _popcount_masks(n) + (0,)
+    parts = []
     dual = 0
-    if size is None:
-        # layer prices by popcount (layer z is popcount n - z, or z once
-        # the colors are flipped), and per element the prices and ball
-        # parts of its three layers; index -1 and n+1 hold nothing
-        layer = _layer_prices(n, params.weights)
-        price = [layer[c if flip else n - c] for c in range(n + 1)] + [0]
-        masks = _popcount_masks(n) + (0,)
-        parts = []
-        for e in range(h):
-            c = e.bit_count()
-            parts.append((price[c - 1], balls[e] & masks[c - 1], price[c],
-                          price[c + 1], balls[e] & masks[c + 1]))
-            dual += price[c]
-        base = _plain_greedy(n)
-        best_set = base if half else _greedy_cover(n, weights)
-        best = sum(weights[e] for e in best_set)
-        # its irredundant part, dropping heaviest first, and the lightest
-        # translate of `base` bound the optimum too; that weight + 1 still
-        # lets the search reach its first optimum
-        kept = list(best_set)
-        for e in sorted(best_set, key=lambda e: (-weights[e], e)):
-            rest = 0
-            for f in kept:
-                if f != e:
-                    rest |= balls[f]
-            if rest == full:
-                kept.remove(e)
-        best = min(best, sum(weights[e] for e in kept) + 1,
-                   min(sum([weights[e ^ v] for e in base]) for v in range(h)) + 1)
+    for e in range(h):
+        c = e.bit_count()
+        parts.append((price[c - 1], balls[e] & masks[c - 1], price[c],
+                      price[c + 1], balls[e] & masks[c + 1]))
+        dual += price[c]
 
     def lightest(taken: int, count: int) -> int:
         # weight of the `count` lightest elements outside `taken`
@@ -546,6 +535,32 @@ def _cover_search(
                 return total + count * w
             total += free * w
             count -= free
+
+    best = params.total_weight + 1  # heavier than any cover
+    best_set: tuple[int, ...] = ()
+    base = _plain_greedy(n)
+    if size is None:
+        best_set = base if half else _greedy_cover(n, weights)
+        best = sum(weights[e] for e in best_set)
+        # its irredundant part, dropping heaviest first, bounds the optimum
+        # too; that weight + 1 still lets the search reach its first optimum
+        kept = list(best_set)
+        for e in sorted(best_set, key=lambda e: (-weights[e], e)):
+            rest = 0
+            for f in kept:
+                if f != e:
+                    rest |= balls[f]
+            if rest == full:
+                kept.remove(e)
+        best = min(best, sum(weights[e] for e in kept) + 1)
+    pad = 0 if size is None else size - len(base)
+    if pad >= 0:
+        # each translate (XOR by v) of `base`, padded to the size with the
+        # lightest elements outside it, is a cover: its weight + 1 too
+        best = min(best, min(sum([weights[e ^ v] for e in base])
+                             + (lightest(sum([1 << (e ^ v) for e in base]), pad)
+                                if pad else 0)
+                             for v in range(h)) + 1)
 
     def rec(uncovered: int, low: int, chosen: tuple[int, ...], weight: int,
             banned: int, cols: tuple[int, ...] | None, dual: int, taken: int):
@@ -560,7 +575,7 @@ def _cover_search(
         orbits = set()
         for e in coverers[low]:
             w = weight + weights[e]
-            if size is None and w >= best:
+            if w >= best:
                 break  # coverers are in weight order: the rest weigh no less
             if cols is not None and e != low:
                 # e flips `low` along k; a swap of two coordinates with equal
@@ -587,26 +602,26 @@ def _cover_search(
                         (x for x in order if x not in child), size - len(child)))
                     child += extras
                     w += sum(weights[x] for x in extras)
-                if best is None or w < best:
+                if w < best:
                     best, best_set = w, child
             else:
                 at = (rest & -rest).bit_length() - 1
                 if size is None:
-                    if w + cheap[at] < best:
-                        lo_price, lo, own, hi_price, hi = parts[e]
-                        d = (dual - lo_price * (uncovered & lo).bit_count()
-                             - own * (uncovered >> e & 1)
-                             - hi_price * (uncovered & hi).bit_count())
-                        if w - (-d // per_ball) < best:
-                            rec(rest, at, chosen + (e,), w, banned | tried,
-                                cols, d, 0)
+                    mask = 0
+                    cut = w + cheap[at] >= best
                 else:
                     left = size - len(chosen) - 1
                     mask = taken | 1 << e
-                    if rest.bit_count() <= left * per_ball and (
-                            best is None or w + lightest(mask, left) < best):
-                        rec(rest, at, chosen + (e,), w, banned | tried,
-                            cols, 0, mask)
+                    cut = (rest.bit_count() > left * per_ball
+                           or w + lightest(mask, left) >= best)
+                if not cut:
+                    lo_price, lo, own, hi_price, hi = parts[e]
+                    d = (dual - lo_price * (uncovered & lo).bit_count()
+                         - own * (uncovered >> e & 1)
+                         - hi_price * (uncovered & hi).bit_count())
+                    if w - (-d // per_ball) < best:
+                        rec(rest, at, chosen + (e,), w, banned | tried, cols,
+                            d, mask)
             tried |= 1 << e
 
     nodes = 1  # the root, which has its own cuts and is never a cover
@@ -617,7 +632,7 @@ def _cover_search(
     if (h <= size * per_ball if size is not None
             else cheap[0] < best and -(-dual // per_ball) < best):
         rec(full, 0, (), 0, 0, (0,) * n, dual, 0)
-    if best is None:
+    if not best_set:
         return None
     value = Fraction(best, params.total_weight)
     return AdequateSet(tuple(sorted(e ^ flip for e in best_set)), n), value
@@ -689,7 +704,9 @@ def size_sweep(
     """Minimum probability and its signature for each requested set size,
     each row from the exact-size branch and bound of :func:`_cover_search`,
     which runs at the heavier color: the rows at p and 1 - p have equal
-    sums, reversed signatures and complementary witnesses.
+    sums, reversed signatures and complementary witnesses.  Each witness
+    is the first optimum in search order; :func:`_cover_search` says why
+    its padded-translate start and layer dual keep that one.
 
     Rows whose size admits no adequate set carry ``None`` entries.
     Refused beyond its row of ``core._LIMITS``.

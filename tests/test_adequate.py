@@ -541,12 +541,35 @@ def test_min_cover_six_players_witnesses_and_node_counts():
         aset, got = min_cover_optimize(6, GameParams(6, p), node_budget=budget)
         assert (aset.elements, got) == (elements, value)
     # the exact-size search prunes too: the n = 5 size-10 row at 2/5 takes
-    # 1 251 nodes (1 798 without the pruning)
+    # 364 nodes with the padded-translate start and the layer dual (1 251
+    # without them, 1 798 without the symmetry pruning)
     aset, value = _cover_search(5, GameParams(5, Fraction(2, 5)), size=10,
-                                node_budget=1_400)
+                                node_budget=450)
     assert (aset.elements, value) == (
         (0, 2, 4, 7, 8, 9, 16, 17, 25, 30), Fraction(746, 3125)
     )
+
+
+def test_exact_size_search_node_budgets():
+    # the padded-translate start and the layer dual at n = 5: 278 / 64 /
+    # 106 / 134 nodes at 3/10, sizes 7..10 (761 / 1 006 / 1 116 / 1 180
+    # without them), and 659 / 449 at 11/20, sizes 7 and 8 (1 157 / 1 314);
+    # each budget leaves about 20% headroom
+    expected = [
+        (Fraction(3, 10), 7, 340, (2, 4, 7, 9, 17, 25, 30), Fraction(17157, 100000)),
+        (Fraction(3, 10), 8, 80, (0, 7, 8, 9, 16, 17, 25, 30), Fraction(87, 500)),
+        (Fraction(3, 10), 9, 130, (0, 4, 7, 8, 9, 16, 17, 25, 30),
+         Fraction(17967, 100000)),
+        (Fraction(3, 10), 10, 165, (0, 2, 4, 7, 8, 9, 16, 17, 25, 30),
+         Fraction(9267, 50000)),
+        (Fraction(11, 20), 7, 800, (0, 7, 11, 19, 28, 29, 30),
+         Fraction(658229, 3200000)),
+        (Fraction(11, 20), 8, 540, (0, 7, 11, 19, 28, 29, 30, 31),
+         Fraction(358639, 1600000)),
+    ]
+    for p, size, budget, elements, value in expected:
+        aset, got = _cover_search(5, GameParams(5, p), size=size, node_budget=budget)
+        assert (aset.elements, got) == (elements, value)
 
 
 def test_min_cover_seven_players_three_fifths():
@@ -714,35 +737,54 @@ def test_sweep_infeasible_sizes_give_empty_rows():
     assert rows[1].signature is not None
 
 
-def test_sweep_exact_size_search_matches_exhaustive():
-    # every sweep row agrees with exhaustive enumeration on the value, and
-    # its witness is one of the enumerated optima
-    def check(n, size, ps):
-        by_sig = {}
-        for aset in adequate_sets_cached(n, size):
-            by_sig.setdefault(signature(aset), []).append(aset)
-        for p in ps:
-            params = GameParams(n, p)
-            (row,) = size_sweep(n, (size,), params)
-            if not by_sig:
-                assert row.witness is None and row.min_sum is None
-                continue
-            # a signature fixes the probability: one set per class suffices
-            values = {sig: set_probability(sets[0], params)
-                      for sig, sets in by_sig.items()}
-            best = min(values.values())
-            assert row.min_sum == best
-            assert values.get(row.signature) == best
-            assert row.witness in by_sig[row.signature]
+@lru_cache(maxsize=None)
+def _listed_classes(n, size):
+    by_sig = {}
+    for aset in adequate_sets_cached(n, size):
+        by_sig.setdefault(signature(aset), []).append(aset)
+    return by_sig
 
+
+def _check_sweep_row(n, size, p):
+    # the sweep row agrees with exhaustive enumeration on the value, and its
+    # witness is one of the enumerated optima
+    by_sig = _listed_classes(n, size)
+    params = GameParams(n, p)
+    (row,) = size_sweep(n, (size,), params)
+    if not by_sig:
+        assert row.witness is None and row.min_sum is None
+        return
+    # a signature fixes the probability: one set per class suffices
+    values = {sig: set_probability(sets[0], params) for sig, sets in by_sig.items()}
+    best = min(values.values())
+    assert row.min_sum == best
+    assert values.get(row.signature) == best
+    assert row.witness in by_sig[row.signature]
+
+
+def test_sweep_exact_size_search_matches_exhaustive():
     # at p = 1/2 all flips of a configuration weigh the same: an orbit rule
     # that ignores the bits of the configuration being covered gives wrong
     # values there (n = 3 size 2, n = 4 size 4) and nowhere else in this list
     for n in (2, 3, 4):
         for size in range(1, (1 << n) + 1):
-            check(n, size, (NINE_TENTHS, P55, Fraction(1, 10), Fraction(2, 5), HALF))
-    check(5, 7, (P55, Fraction(2, 5), HALF))
-    check(5, 8, (P55, HALF))
+            for p in (NINE_TENTHS, P55, Fraction(1, 10), Fraction(2, 5), HALF):
+                _check_sweep_row(n, size, p)
+    for p in (P55, Fraction(2, 5), HALF):
+        _check_sweep_row(5, 7, p)
+    for p in (P55, HALF):
+        _check_sweep_row(5, 8, p)
+
+
+@given(k=hst.integers(min_value=1, max_value=199))
+@settings(max_examples=100, deadline=None)
+def test_sweep_rows_match_exhaustive_at_every_p(k):
+    # the start of a sized search is a padded translate whose weight moves
+    # with p; whichever translate it is, the row is the exhaustive optimum
+    p = Fraction(k, 200)
+    for size in range(1, 17):
+        _check_sweep_row(4, size, p)
+    _check_sweep_row(5, 8, p)
 
 
 def test_sweep_exact_size_witnesses_are_pinned():
