@@ -10,6 +10,7 @@ Run:  python demos/05_win_probability_curve.py
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from hatgame import (
     SQRT2_MINUS_1,
@@ -22,7 +23,7 @@ from hatgame import (
     psi_curve,
     signature_poly,
 )
-from hatgame.polys import decimal_str
+from hatgame.polys import Poly, decimal_str
 
 print("The twelve loss classes of the 320 minimum-size sets, and their")
 print("dominance structure on (1/2, 1):")
@@ -35,11 +36,13 @@ print()
 a, b = Signature.from_compact("022210"), Signature.from_compact("024001")
 result = dominance(a, b)
 lo, hi = result.roots[0]
+pa, pb = signature_poly(a), signature_poly(b)
 print("022210 vs 024001: %s" % result.relation)
-print("  difference polynomial: %s" % (signature_poly(a) - signature_poly(b)))
+print("  difference polynomial: %s"
+      % Poly([x - y for x, y in zip_longest(pa.coeffs, pb.coeffs, fillvalue=0)]))
 print("  root isolated in [%s, %s]" % (lo, hi))
 print("  interval width: %s" % decimal_str(hi - lo, 3))
-print("  2 - sqrt(2) lies inside:", lo <= float(TWO_MINUS_SQRT2) <= hi)
+print("  2 - sqrt(2) lies inside:", lo < TWO_MINUS_SQRT2 < hi)
 print()
 
 print("Optimal-set counts by regime:")

@@ -647,14 +647,18 @@ def min_cover_optimize(
     nodes at every p = k/20.
 
     ``node_budget`` bounds the search-tree size for best-effort runs on
-    larger n; exceeding it raises :class:`ResourceLimitError`.  Without a
-    budget, n is refused up front beyond its row of ``core._LIMITS``.
+    larger n; exceeding it raises :class:`ResourceLimitError`.  n is
+    refused up front beyond its row of ``core._LIMITS``, with a budget or
+    without: the tables the search builds before its first node grow with
+    2^n either way.
     """
     if params.n_players != n:
         raise ValueError("params are for %d players, requested n=%d"
                          % (params.n_players, n))
     if node_budget is None:
         _check_limit("cover search without a node budget at n", n)
+    else:
+        _check_limit("cover search with a node budget at n", n)
     return _cover_search(n, params, node_budget=node_budget)
 
 

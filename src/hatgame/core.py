@@ -69,6 +69,7 @@ _LIMITS = {
     "size sweep at n": 5,
     "minimum cover size at n": 5,
     "cover search without a node budget at n": 6,
+    "cover search with a node budget at n": 11,
     "all matrices of a set at n": 4,
     "all matrices of a set at n * size": 24,
     "FREE cells in an invariance check": 12,

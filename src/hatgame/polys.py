@@ -11,15 +11,16 @@ This module supplies the two primitives those proofs need:
   may be rational or quadratic (``Sqrt2Num``), so strict sign claims on
   intervals like (1/2, 2 - sqrt 2) are decided exactly; isolation always
   returns intervals with rational ends.  The root layer runs on integers:
-  the Sturm chain, gcd and squarefree part come from one primitive
-  pseudo-remainder Euclid on the polynomial times the lcm of its
-  denominators (W. S. Brown, J. ACM 18, 1971), scaled only by positive
-  integers so every sign is kept; the chain is built once per Poly as
-  integer tuples; the sign at a rational a/b is that of the integer Horner
-  sum sum_j c_j a^j b^(d-j).  Isolation evaluates the chain once per point
-  and carries the signs down the bisection; a root endpoint steps inward
-  by the sign of the chain's derivative member.  Refinement bisects
-  integer numerators over one denominator.
+  the Sturm chain is a primitive pseudo-remainder sequence of the
+  polynomial times the lcm of its denominators (W. S. Brown, J. ACM 18,
+  1971), scaled only by positive integers so every sign is kept; its last
+  member is gcd(f, f') up to sign, which gives the squarefree part.  The
+  chain is built once per Poly as integer tuples; the sign at a rational
+  a/b is that of the integer Horner sum sum_j c_j a^j b^(d-j).  Isolation
+  evaluates the chain once per point and carries the signs down the
+  bisection; a root endpoint steps inward by the sign of the chain's
+  derivative member.  Refinement bisects integer numerators over one
+  denominator.
 * :class:`Sqrt2Num` - numbers a + b*sqrt(2) with rational a, b, as exact
   ordered values with no arithmetic.  Ordering is exact (no floating
   point): one sign test on (a, b), which compares a^2 with 2 b^2 when the
@@ -103,9 +104,6 @@ class Sqrt2Num(_Frozen):
             raise ValueError("%r is irrational" % (self,))
         return self.a
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 2**0.5
-
     def __repr__(self):
         if self.b == 0:
             return "Sqrt2Num(%s)" % (self.a,)
@@ -160,16 +158,6 @@ class Poly(_Frozen):
     def from_coeffs(cls, coeffs: Iterable) -> "Poly":
         return cls(tuple(coeffs))
 
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
-
-    # -- ring operations ----------------------------------------------------
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -178,64 +166,6 @@ class Poly(_Frozen):
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(tuple(out))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(Fraction(other) * c for c in self.coeffs))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = Poly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     @cached_property
     def _integer_coeffs(self) -> tuple[tuple[int, ...], int]:
@@ -270,14 +200,21 @@ class Poly(_Frozen):
 
     @cached_property
     def _sturm(self) -> tuple[tuple[int, ...], ...]:
-        """The chain :meth:`sturm_chain` returns, built once per Poly."""
-        f = _squarefree(self._integer_coeffs[0])
-        chain = [f, _primitive(_derivative(f))]
-        while chain[-1]:
-            rem = _pseudo_divmod(chain[-2], chain[-1])[1]
-            chain.append(_primitive([-c for c in rem]))
-        chain.pop()
-        return tuple(chain)
+        """The chain :meth:`sturm_chain` returns, built once per Poly.
+
+        A chain's last member is gcd(f, f') up to sign.  It is a constant
+        when f is squarefree; otherwise f over it is, and gets the chain."""
+        f = _primitive(self._integer_coeffs[0])
+        while True:
+            chain = [f, _primitive(_derivative(f))]
+            while chain[-1]:
+                rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+                chain.append(_primitive([-c for c in rem]))
+            chain.pop()
+            g = chain[-1]
+            if len(g) <= 1:
+                return tuple(chain)
+            f = _primitive(_pseudo_divmod(f, g if g[-1] > 0 else [-c for c in g])[0])
 
     def sturm_chain(self) -> tuple[tuple[int, ...], ...]:
         """Sturm chain of the squarefree part as primitive integer
@@ -486,24 +423,6 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
     while r and not r[-1]:
         r.pop()
     return q, r
-
-
-def _gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Primitive gcd with a positive leading coefficient, by a primitive
-    remainder sequence; () when both are zero."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    return tuple(-c for c in a) if a and a[-1] < 0 else a
-
-
-def _squarefree(cs: Sequence[int]) -> tuple[int, ...]:
-    """Primitive squarefree part: cs over its gcd with its derivative, a
-    positive multiple of the rational quotient by the monic gcd."""
-    g = _gcd(cs, _derivative(cs))
-    if len(g) <= 1:
-        return _primitive(cs)
-    return _primitive(_pseudo_divmod(cs, g)[0])
 
 
 def _horner(cs: Sequence[int], a: int, b: int) -> int:

@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+from polytools import difference, poly
+
 from hatgame.adequate import (
     AdequateSet,
     Signature,
@@ -210,8 +212,8 @@ def test_criterion_08_size_sweeps():
 
     # the 17 -> 18 step in the low regime: 2 q^2 p^3 - p^5 is strictly
     # positive on (1/2, 2 - sqrt2) and vanishes exactly at the threshold
-    P, Q = Poly.x(), Poly.from_coeffs([1, -1])
-    step = 2 * Q**2 * P**3 - P**5
+    P, Q = [0, 1], [1, -1]
+    step = difference(poly([2], Q, Q, P, P, P), poly(P, P, P, P, P))
     interval = (HALF, TWO_MINUS_SQRT2)
     assert step.count_roots_open(*interval) == 0
     assert step(Fraction(11, 20)) > 0
@@ -219,32 +221,34 @@ def test_criterion_08_size_sweeps():
     # it stays strictly below both single-element weights q^3 p^2 and
     # q^2 p^3 throughout the regime, touching q^3 p^2 exactly at the
     # left endpoint
-    assert (step - Q**3 * P**2)(HALF) == 0
-    for single in (Q**3 * P**2, Q**2 * P**3):
-        assert (step - single).count_roots_open(*interval) == 0
-        assert (step - single)(Fraction(11, 20)) < 0
+    assert difference(step, poly(Q, Q, Q, P, P))(HALF) == 0
+    for single in (poly(Q, Q, Q, P, P), poly(Q, Q, P, P, P)):
+        below = difference(step, single)
+        assert below.count_roots_open(*interval) == 0
+        assert below(Fraction(11, 20)) < 0
     print("criterion 8 PASS: sweep tables exact, 17->18 step sign proven")
 
 
 def test_criterion_09_dominance_identities():
-    P, Q = Poly.x(), Poly.from_coeffs([1, -1])
-    p_minus_q = Poly.from_coeffs([-1, 2])
+    P, Q = [0, 1], [1, -1]
+    p_minus_q = [-1, 2]
 
-    diff_a = signature_poly(Signature.from_compact("022210")) - signature_poly(
-        Signature.from_compact("111310")
-    )
-    assert diff_a == -(Q**2) * p_minus_q**2
+    diff_a = difference(signature_poly(Signature.from_compact("022210")),
+                        signature_poly(Signature.from_compact("111310")))
+    assert diff_a == poly([-1], Q, Q, p_minus_q, p_minus_q)
 
-    diff_bc = signature_poly(Signature.from_compact("102310")) - signature_poly(
-        Signature.from_compact("120130")
-    )
-    # the difference is -2pq^4 + 2p^2q^3 + 2p^3q^2 - 2p^4q exactly ...
-    assert diff_bc == -2 * P * Q**4 + 2 * P**2 * Q**3 + 2 * P**3 * Q**2 - 2 * P**4 * Q
+    diff_bc = difference(signature_poly(Signature.from_compact("102310")),
+                         signature_poly(Signature.from_compact("120130")))
+    # the difference is -2pq^4 + 2p^2q^3 + 2p^3q^2 - 2p^4q exactly, that
+    # is (2p^2q^3 - 2pq^4) - (2p^4q - 2p^3q^2) ...
+    terms = {j: poly([2], *[P] * j, *[Q] * (5 - j)) for j in (1, 2, 3, 4)}
+    assert diff_bc == difference(difference(terms[2], terms[1]),
+                                 difference(terms[4], terms[3]))
     # ... which factors as -2pq (p-q)^2 (p+q) = -2pq (p-q)^2; guard against
     # the tempting cubed misfactorization, which is a different polynomial
     # (the negativity conclusion would be the same either way)
-    assert diff_bc == -2 * P * Q * p_minus_q**2
-    assert diff_bc != -2 * P * Q * p_minus_q**3
+    assert diff_bc == poly([-2], P, Q, p_minus_q, p_minus_q)
+    assert diff_bc != poly([-2], P, Q, p_minus_q, p_minus_q, p_minus_q)
     assert diff_bc.count_roots_open(HALF, Fraction(1)) == 0
     assert diff_bc(Fraction(3, 4)) < 0
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as hst
+from polytools import difference, poly
 
 from hatgame.adequate import Signature, adequate_sets_cached, signature
 from hatgame.analysis import (
@@ -40,9 +41,10 @@ HALF = Fraction(1, 2)
 NINE_TENTHS = Fraction(9, 10)
 P55 = Fraction(11, 20)
 
-P = Poly.x()
-Q = Poly.from_coeffs([1, -1])
-P_MINUS_Q = Poly.from_coeffs([-1, 2])
+#: p, q = 1 - p and p - q as coefficient lists
+P = [0, 1]
+Q = [1, -1]
+P_MINUS_Q = [-1, 2]
 
 
 def sig(text):
@@ -56,14 +58,14 @@ def sig(text):
 
 def test_signature_poly_four_player_minimum_class():
     # p q^3 + 2 p^2 q^2 + p^3 q collapses to pq = p - p^2
-    poly = signature_poly(sig("01210"))
-    assert poly == P * Q
-    assert poly(NINE_TENTHS) == Fraction(9, 100)
+    f = signature_poly(sig("01210"))
+    assert f == poly(P, Q)
+    assert f(NINE_TENTHS) == Fraction(9, 100)
 
 
 def test_signature_poly_pure_powers():
-    assert signature_poly(Signature((0, 0, 0, 1))) == P**3
-    assert signature_poly(Signature((1, 0, 0, 0))) == Q**3
+    assert signature_poly(Signature((0, 0, 0, 1))) == poly(P, P, P)
+    assert signature_poly(Signature((1, 0, 0, 0))) == poly(Q, Q, Q)
 
 
 def test_signature_poly_five_player_minimum():
@@ -80,20 +82,22 @@ def test_signature_poly_matches_enumerated_sums():
         assert signature_poly(s)(NINE_TENTHS) == set_probability(aset, params)
 
 
-def _ring_expansion(counts):
-    """sum_j c_j P^j Q^(n-j) in Poly ring arithmetic, the oracle for the
-    integer coefficients of signature_poly."""
+def _is_expansion(f, counts):
+    """Whether the Poly f is sum_j c_j x^j (1 - x)^(n-j): degree at most n,
+    and the sum, taken in plain Fraction, at n + 1 distinct rationals x.
+    A polynomial of degree at most n is fixed by its values there."""
     n = len(counts) - 1
-    total = Poly(())
-    for j, c in enumerate(counts):
-        total = total + c * P**j * Q ** (n - j)
-    return total
+    points = [Fraction(k, n + 2) for k in range(1, n + 2)]
+    return len(f.coeffs) <= n + 1 and all(
+        f(x) == sum(c * x**j * (1 - x) ** (n - j) for j, c in enumerate(counts))
+        for x in points
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_signature_poly_equals_ring_expansion_on_classes(n):
     for s in signature_classes(n):
-        assert signature_poly(s) == _ring_expansion(s.counts)
+        assert _is_expansion(signature_poly(s), s.counts)
 
 
 @given(
@@ -102,7 +106,7 @@ def test_signature_poly_equals_ring_expansion_on_classes(n):
     )
 )
 def test_signature_poly_equals_ring_expansion(counts):
-    assert signature_poly(Signature(tuple(counts))) == _ring_expansion(counts)
+    assert _is_expansion(signature_poly(Signature(tuple(counts))), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -112,22 +116,19 @@ def test_signature_poly_equals_ring_expansion(counts):
 
 def test_dominance_identity_a():
     # 022210 - 111310 = -q^2 (p - q)^2, strictly negative on (1/2, 1)
-    diff = signature_poly(sig("022210")) - signature_poly(sig("111310"))
-    assert diff == -(Q**2) * P_MINUS_Q**2
+    diff = difference(signature_poly(sig("022210")), signature_poly(sig("111310")))
+    assert diff == poly([-1], Q, Q, P_MINUS_Q, P_MINUS_Q)
     assert dominance(sig("022210"), sig("111310")).relation == "always_less"
 
 
 def test_dominance_identity_bc():
     # 102310 - 120130 = -2pq^4 + 2p^2q^3 + 2p^3q^2 - 2p^4q, which factors
     # as -2pq (p - q)^2 (p + q); with p + q = 1 that is -2pq (p - q)^2
-    diff = signature_poly(sig("102310")) - signature_poly(sig("120130"))
-    homogeneous = (
-        -2 * P * Q**4 + 2 * P**2 * Q**3 + 2 * P**3 * Q**2 - 2 * P**4 * Q
-    )
-    assert diff == homogeneous
-    assert diff == -2 * P * Q * P_MINUS_Q**2
+    diff = difference(signature_poly(sig("102310")), signature_poly(sig("120130")))
+    assert _is_expansion(diff, (0, -2, 2, 2, -2, 0))
+    assert diff == poly([-2], P, Q, P_MINUS_Q, P_MINUS_Q)
     # the same difference separates 013201 from 031021
-    diff2 = signature_poly(sig("013201")) - signature_poly(sig("031021"))
+    diff2 = difference(signature_poly(sig("013201")), signature_poly(sig("031021")))
     assert diff2 == diff
     assert dominance(sig("102310"), sig("120130")).relation == "always_less"
     assert dominance(sig("013201"), sig("031021")).relation == "always_less"
@@ -157,8 +158,8 @@ def test_dominance_with_a_quadratic_endpoint():
     # the difference is p^2 (2p - 1)(p^2 - 4p + 2): on (sqrt2 - 1, 1) it
     # vanishes at the rational 1/2 and at 2 - sqrt2
     a, b = sig("022210"), sig("024001")
-    diff = signature_poly(a) - signature_poly(b)
-    assert diff == P**2 * (2 * P - 1) * Poly.from_coeffs([2, -4, 1])
+    diff = difference(signature_poly(a), signature_poly(b))
+    assert diff == poly(P, P, [-1, 2], [2, -4, 1])
     result = dominance(a, b, (SQRT2_MINUS_1, Fraction(1)))
     assert result.relation == "crossing"
     exact, (lo, hi) = result.roots
@@ -194,7 +195,7 @@ def test_dominance_graph_on_quadratic_intervals(interval, n_edges, root_counts):
     assert len(g.edges) == n_edges
     assert {(i, j): len(roots) for i, j, roots in g.crossings} == root_counts
     for i, j, roots in g.crossings:
-        diff = signature_poly(g.nodes[i]) - signature_poly(g.nodes[j])
+        diff = difference(signature_poly(g.nodes[i]), signature_poly(g.nodes[j]))
         assert len(roots) == diff.count_roots_open(lo, hi)
         for a, b in roots:
             # strictly inside, and each interval isolates one root
@@ -242,7 +243,7 @@ def _sturm_dominance(sig_a, sig_b, interval):
     """dominance by the Sturm path alone: the difference polynomial's
     isolated and refined roots, else its sign at one inside point."""
     lo, hi = interval
-    diff = signature_poly(sig_a) - signature_poly(sig_b)
+    diff = difference(signature_poly(sig_a), signature_poly(sig_b))
     if diff.is_zero:
         return DominanceResult("equal")
     roots = tuple(
@@ -411,8 +412,8 @@ def test_psi_three_equals_one_minus_pq():
     psi = psi_closed_form(3)
     assert psi.pieces == (Poly.from_coeffs([1, -1, 1]),)
     # 1 - pq = 0.75 + (p - 1/2)^2 as polynomials
-    shifted = Poly.from_coeffs([Fraction(3, 4)]) + (P - Fraction(1, 2)) ** 2
-    assert psi.pieces[0] == shifted
+    half = [-Fraction(1, 2), 1]
+    assert difference(psi.pieces[0], poly(half, half)) == Poly.from_coeffs([Fraction(3, 4)])
 
 
 def test_psi_four_equals_psi_three():
@@ -727,7 +728,7 @@ def test_optimal_classes_stable_within_regimes():
         lambda: psi_closed_form(5)(0.3),
         lambda: psi_closed_form(5).piece_index(0.3),
         lambda: psi_curve(5, 0.1, 0.9, 4),
-        lambda: count_optimal_sets(5, float(TWO_MINUS_SQRT2)),
+        lambda: count_optimal_sets(5, 0.5857864376269049),
         lambda: optimal_signature_classes(5, 0.3),
         lambda: dominance(sig("022210"), sig("024001"), (0.5, 1.0)),
     ],

@@ -371,6 +371,9 @@ LIMIT_CASES = {
     "minimum cover size at n": (None, lambda n: partial(min_cover_size, n)),
     "cover search without a node budget at n": (
         None, lambda n: partial(min_cover_optimize, n, GameParams(n, HALF))),
+    "cover search with a node budget at n": (
+        None, lambda n: partial(min_cover_optimize, n, GameParams(n, Fraction(3, 4)),
+                                node_budget=1)),
     "all matrices of a set at n": (
         None, lambda n: partial(all_matrices_for_set, AdequateSet(range(1 << n), n))),
     # the n = 3 cube has 3 * 8 = 24 cell counterparts, one past the patched row

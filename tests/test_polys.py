@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as hst
+from polytools import poly
 
 from hatgame.polys import (
     Poly,
@@ -35,8 +36,7 @@ def test_breakpoint_identities():
     # the two breakpoints mirror around 1/2: 1 - (sqrt2-1) = 2-sqrt2
     assert Poly.from_coeffs([1, -1])(SQRT2_MINUS_1) == TWO_MINUS_SQRT2
     # minimal polynomial: x^2 - 4x + 2 vanishes at 2 - sqrt2
-    poly = Poly.from_coeffs([2, -4, 1])
-    assert poly(TWO_MINUS_SQRT2) == Sqrt2Num(0)
+    assert Poly.from_coeffs([2, -4, 1])(TWO_MINUS_SQRT2) == Sqrt2Num(0)
 
 
 def test_exact_ordering():
@@ -92,12 +92,11 @@ def test_rational_interop():
         lambda: Sqrt2Num(0.1),
         lambda: Sqrt2Num(1, 0.5),
         lambda: Poly.from_coeffs([1, 0.1]),
-        lambda: Poly.constant(0.1),
-        lambda: Poly.x().count_roots_open(0.0, 1),
-        lambda: Poly.x().isolate_roots_open(-1, 0.5),
+        lambda: Poly.from_coeffs([0, 1]).count_roots_open(0.0, 1),
+        lambda: Poly.from_coeffs([0, 1]).isolate_roots_open(-1, 0.5),
         lambda: Poly.from_coeffs([-2, 0, 1]).refine_root(1, 2, 0.5),
     ],
-    ids=["a", "b", "coeffs", "constant", "count", "isolate", "refine"],
+    ids=["a", "b", "coeffs", "count", "isolate", "refine"],
 )
 def test_floats_are_refused(build):
     with pytest.raises(TypeError, match="inexact float"):
@@ -105,7 +104,7 @@ def test_floats_are_refused(build):
 
 
 # ---------------------------------------------------------------------------
-# Poly ring operations
+# Poly canonical form and evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -114,15 +113,6 @@ def test_poly_canonical_form():
     assert Poly.from_coeffs([0, 0]).is_zero
     assert Poly.from_coeffs([5]).degree == 0
     assert Poly(()).degree == -1
-
-
-def test_poly_arithmetic():
-    x = Poly.x()
-    p = (x - 1) * (x - 2)
-    assert p == Poly.from_coeffs([2, -3, 1])
-    assert p(F(1)) == 0 and p(F(2)) == 0 and p(F(0)) == 2
-    assert (p - p).is_zero
-    assert (2 * x + 1) ** 2 == Poly.from_coeffs([1, 4, 4])
 
 
 def test_poly_evaluation_in_quadratic_field():
@@ -134,9 +124,9 @@ def test_poly_evaluation_in_quadratic_field():
         value = Poly(())(x)
         assert type(value) is type(zero) and value == zero
     # a float is refused, as everywhere else
-    for poly in (Poly(()), p):
+    for f in (Poly(()), p):
         with pytest.raises(TypeError, match="inexact float"):
-            poly(-1.5)
+            f(-1.5)
 
 
 def _pair_horner(cs, a, b):
@@ -151,11 +141,11 @@ def _pair_horner(cs, a, b):
 @given(hst.lists(rationals, max_size=7), rationals, rationals)
 def test_quadratic_evaluation_matches_fraction_pairs(cs, a, b):
     # the integer kernel against Horner in Fraction pairs
-    poly, x = Poly.from_coeffs(cs), Sqrt2Num(a, b)
-    p, q = _pair_horner(poly.coeffs, a, b)
-    value = poly(x)
+    f, x = Poly.from_coeffs(cs), Sqrt2Num(a, b)
+    p, q = _pair_horner(f.coeffs, a, b)
+    value = f(x)
     assert type(value) is Sqrt2Num and (value.a, value.b) == (p, q)
-    assert _sign_at(poly._integer_coeffs[0], x) == Sqrt2Num(p, q).sign()
+    assert _sign_at(f._integer_coeffs[0], x) == Sqrt2Num(p, q).sign()
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +154,7 @@ def test_quadratic_evaluation_matches_fraction_pairs(cs, a, b):
 
 
 def test_count_roots_simple():
-    x = Poly.x()
-    p = (x - 1) * (x - 2) * (x - 3)
+    p = poly([-1, 1], [-2, 1], [-3, 1])
     assert p.count_roots_open(F(0), F(4)) == 3
     assert p.count_roots_open(F(1), F(4)) == 2  # open: root at 1 excluded
     assert p.count_roots_open(F(0), F(3)) == 2  # root at hi excluded
@@ -174,8 +163,7 @@ def test_count_roots_simple():
 
 
 def test_count_roots_with_multiplicity_collapses():
-    x = Poly.x()
-    p = (x - 1) ** 3 * (x - 2)
+    p = poly([-1, 1], [-1, 1], [-1, 1], [-2, 1])
     assert p.count_roots_open(F(0), F(3)) == 2  # distinct roots only
 
 
@@ -195,34 +183,33 @@ def test_count_roots_algebraic_endpoints():
 
 
 def test_isolate_roots():
-    x = Poly.x()
-    p = (x - 1) * (x - 2) * (2 * x - 5)
+    p = poly([-1, 1], [-2, 1], [-5, 2])
     intervals = p.isolate_roots_open(F(0), F(10))
     assert len(intervals) == 3
     roots = [F(1), F(2), F(5, 2)]
     for (lo, hi), r in zip(intervals, roots):
         assert lo <= r <= hi
     # exact rational root hit by a bisection midpoint -> degenerate interval
-    q = (x - 1) * (x - 3)
+    q = poly([-1, 1], [-3, 1])
     ivs = q.isolate_roots_open(F(0), F(4))
     assert len(ivs) == 2
 
 
 #: Isolating intervals pinned exactly: root endpoints stepped inward, a
 #: root at a bisection midpoint, a double root, Q(sqrt 2) ends.
-X = Poly.x()
+CUBIC = poly([-1, 1], [-2, 1], [-3, 1])  # (x - 1)(x - 2)(x - 3)
 ISOLATION_PINS = [
-    ("lo is a root", (X - 1) * (X - 2) * (X - 3), F(1), F(4),
+    ("lo is a root", CUBIC, F(1), F(4),
      [(F(7, 4), F(5, 2)), (F(5, 2), F(4))]),
-    ("hi is a root", (X - 1) * (X - 2) * (X - 3), F(0), F(3),
+    ("hi is a root", CUBIC, F(0), F(3),
      [(F(0), F(3, 2)), (F(3, 2), F(9, 4))]),
-    ("both ends are roots", X * (3 * X - 1) * (X - 2), F(0), F(2),
+    ("both ends are roots", poly([0, 1], [-1, 3], [-2, 1]), F(0), F(2),
      [(F(1, 4), F(9, 8))]),
-    ("midpoint is a root", (X - 1) * (X - 2) * (X - 3), F(0), F(4),
+    ("midpoint is a root", CUBIC, F(0), F(4),
      [(F(0), F(3, 2)), (F(2), F(2)), (F(5, 2), F(4))]),
-    ("double root", (2 * X - 1) ** 2 * (X + 1), F(-2), F(1),
+    ("double root", poly([-1, 2], [-1, 2], [1, 1]), F(-2), F(1),
      [(F(-2), F(-1, 2)), (F(-1, 2), F(1))]),
-    ("double root at lo", (2 * X - 1) ** 2 * (3 * X - 2), F(1, 2), F(1),
+    ("double root at lo", poly([-1, 2], [-1, 2], [-2, 3]), F(1, 2), F(1),
      [(F(5, 8), F(1))]),
     ("sqrt2 lo", Poly.from_coeffs([2, -4, 1]), SQRT2_MINUS_1, F(4),
      [(F(1, 2), F(9, 4)), (F(9, 4), F(4))]),
@@ -234,13 +221,43 @@ ISOLATION_PINS = [
 
 
 @pytest.mark.parametrize(
-    "poly,lo,hi,expected", [case[1:] for case in ISOLATION_PINS],
+    "f,lo,hi,expected", [case[1:] for case in ISOLATION_PINS],
     ids=[case[0] for case in ISOLATION_PINS],
 )
-def test_isolation_pinned(poly, lo, hi, expected):
-    intervals = poly.isolate_roots_open(lo, hi)
+def test_isolation_pinned(f, lo, hi, expected):
+    intervals = f.isolate_roots_open(lo, hi)
     assert intervals == expected
     assert all(type(e) is Fraction for iv in intervals for e in iv)
+
+
+#: Products with repeated roots, their primitive squarefree parts written
+#: out by hand, and intervals with the number of distinct roots inside.
+MULTIPLE_ROOTS = [
+    # (x - 1)^3 (x - 2) (x^2 - 2)^2 -> (x - 1)(x - 2)(x^2 - 2)
+    (poly(*[[-1, 1]] * 3, [-2, 1], [-2, 0, 1], [-2, 0, 1]), (-4, 6, 0, -3, 1),
+     [(F(-4), F(4), 4), (SQRT2_MINUS_1, F(3), 3), (SQRT2, F(3), 1)]),
+    # (1 - 3p + p^2)^2 (1 - 2p), the loss difference of 102310 and 031021,
+    # which touch zero at (3 - sqrt5)/2 -> (1 - 3p + p^2)(1 - 2p)
+    (poly([1, -3, 1], [1, -3, 1], [1, -2]), (1, -5, 7, -2),
+     [(F(0), TWO_MINUS_SQRT2, 2), (SQRT2_MINUS_1, F(3), 2), (F(0), F(3), 3)]),
+]
+
+
+@pytest.mark.parametrize("f,squarefree,cases", MULTIPLE_ROOTS, ids=["sqrt2", "touch"])
+def test_multiple_roots_use_the_squarefree_part(f, squarefree, cases):
+    # the chain's first remainder sequence ends in gcd(f, f') of positive
+    # degree, so the chain is that of f over it
+    assert f.sturm_chain()[0] == squarefree
+    sf = Poly.from_coeffs(squarefree)
+    for lo, hi, distinct in cases:
+        intervals = f.isolate_roots_open(lo, hi)
+        assert len(intervals) == f.count_roots_open(lo, hi) == distinct
+        for (a, b), (c, _d) in zip(intervals, intervals[1:]):
+            assert b <= c
+        # a simple root of sf in each: a sign change, or an exact root
+        for a, b in intervals:
+            assert lo <= a <= b <= hi
+            assert sf(a) * sf(b) < 0 if a < b else sf(a) == 0
 
 
 def test_isolate_roots_with_quadratic_endpoints():
@@ -294,10 +311,8 @@ SQRT2_ENDS = [
 @example([], 1, F(1), 15, None)  # +-sqrt 2 alone
 def test_root_isolation_against_known_roots(factors, sqrt2_power, lead, digits, data):
     # lead * prod (b x - a)^m * (x^2 - 2)^sqrt2_power, whose roots are known
-    x = Poly.x()
-    poly = Poly.constant(lead) * Poly.from_coeffs([-2, 0, 1]) ** sqrt2_power
-    for a, b, m in factors:
-        poly = poly * (b * x - a) ** m
+    p = poly([lead], *[[-2, 0, 1]] * sqrt2_power,
+             *[[-a, b] for a, b, m in factors for _ in range(m)])
     roots = {Sqrt2Num(F(a, b)) for a, b, _ in factors}
     if sqrt2_power:
         roots |= {SQRT2, Sqrt2Num(0, -1)}
@@ -314,8 +329,8 @@ def test_root_isolation_against_known_roots(factors, sqrt2_power, lead, digits, 
     lo, hi = (e.a if e.is_rational else e for e in ends)
     inside = [r for r in roots if lo < r < hi]
 
-    assert poly.count_roots_open(lo, hi) == len(inside)
-    intervals = poly.isolate_roots_open(lo, hi)
+    assert p.count_roots_open(lo, hi) == len(inside)
+    intervals = p.isolate_roots_open(lo, hi)
     assert len(intervals) == len(inside)
     for (a, b), (c, _d) in zip(intervals, intervals[1:]):
         # ascending; neighbours may share an end, which is then no root
@@ -331,7 +346,7 @@ def test_root_isolation_against_known_roots(factors, sqrt2_power, lead, digits, 
             assert root == a
             continue
         assert a < root < b
-        c, d = poly.refine_root(a, b, width)
+        c, d = p.refine_root(a, b, width)
         assert type(c) is Fraction and type(d) is Fraction
         assert a <= c <= d <= b
         if c == d:
