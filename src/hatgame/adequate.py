@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -36,6 +37,7 @@ from .core import (
     _check_config,
     _check_limit,
     _check_n,
+    _check_params,
     _setattr,
     score_table,
 )
@@ -170,7 +172,7 @@ class Signature(_Frozen):
     __slots__ = _fields = ("counts",)
 
     def __init__(self, counts: tuple[int, ...]):
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(map(operator.index, counts))
         if len(counts) < 3 or any(c < 0 for c in counts):
             raise ValueError("invalid signature counts %r" % (counts,))
         _setattr(self, "counts", counts)
@@ -356,9 +358,7 @@ def optimal_sets(
 
     Each signature class of :func:`_signature_groups` is evaluated once;
     the winners are the sets of the classes that attain the minimum."""
-    if params.n_players != n:
-        raise ValueError("params are for %d players, requested n=%d"
-                         % (params.n_players, n))
+    _check_params(n, params)
     groups = _signature_groups(n, size)
     if not groups:
         raise NoAdequateSetError(
@@ -652,9 +652,7 @@ def min_cover_optimize(
     without: the tables the search builds before its first node grow with
     2^n either way.
     """
-    if params.n_players != n:
-        raise ValueError("params are for %d players, requested n=%d"
-                         % (params.n_players, n))
+    _check_params(n, params)
     if node_budget is None:
         _check_limit("cover search without a node budget at n", n)
     else:
@@ -682,22 +680,11 @@ def min_cover_size(n: int) -> int:
 
 
 class SweepRow(_Frozen):
-    """One row of a size sweep: the best adequate set of exactly ``size``
-    elements and its witness, from :func:`_cover_search`."""
+    """One row of a size sweep: ``size``, then the ``signature``,
+    ``min_sum`` and ``witness`` of the best adequate set of that size from
+    :func:`_cover_search` (all None when there is none)."""
 
     __slots__ = _fields = ("size", "signature", "min_sum", "witness")
-
-    def __init__(
-        self,
-        size: int,
-        signature: Signature | None,
-        min_sum: Fraction | None,
-        witness: AdequateSet | None,
-    ):
-        _setattr(self, "size", size)
-        _setattr(self, "signature", signature)
-        _setattr(self, "min_sum", min_sum)
-        _setattr(self, "witness", witness)
 
 
 def size_sweep(
@@ -715,9 +702,7 @@ def size_sweep(
     Rows whose size admits no adequate set carry ``None`` entries.
     Refused beyond its row of ``core._LIMITS``.
     """
-    if params.n_players != n:
-        raise ValueError("params are for %d players, requested n=%d"
-                         % (params.n_players, n))
+    _check_params(n, params)
     _check_limit("size sweep at n", n)
     rows: list[SweepRow] = []
     for size in sizes:

@@ -105,16 +105,11 @@ class DominanceResult(_Frozen):
     relation is one of "equal", "always_less", "always_greater" or
     "crossing"; for crossings, ``roots`` holds one isolating rational
     interval per distinct interior root (degenerate (r, r) for exact
-    rational roots).
+    rational roots), and is () otherwise.
     """
 
     __slots__ = _fields = ("relation", "roots")
-
-    def __init__(
-        self, relation: str, roots: tuple[tuple[Fraction, Fraction], ...] = ()
-    ):
-        _setattr(self, "relation", relation)
-        _setattr(self, "roots", roots)
+    _defaults = ((),)
 
 
 #: Isolating intervals returned by :func:`dominance` are refined below
@@ -181,7 +176,8 @@ def dominance(
 
 
 class DominanceGraph(_Frozen):
-    """Dominance relations among the loss classes of minimum-size sets.
+    """Dominance relations among the loss classes of minimum-size sets of
+    ``n_players`` on the open ``interval``.
 
     nodes are ordered by their probability at p = 9/10; edges (i, j) mean
     node i is strictly cheaper than node j on the whole interval; crossing
@@ -192,20 +188,6 @@ class DominanceGraph(_Frozen):
     """
 
     __slots__ = _fields = ("n_players", "interval", "nodes", "edges", "crossings")
-
-    def __init__(
-        self,
-        n_players: int,
-        interval: tuple[Number, Number],
-        nodes: tuple[Signature, ...],
-        edges: tuple[tuple[int, int], ...],
-        crossings: tuple[tuple[int, int, tuple[tuple[Fraction, Fraction], ...]], ...],
-    ):
-        _setattr(self, "n_players", n_players)
-        _setattr(self, "interval", interval)
-        _setattr(self, "nodes", nodes)
-        _setattr(self, "edges", edges)
-        _setattr(self, "crossings", crossings)
 
     def node_labels(self) -> tuple[str, ...]:
         return tuple(s.compact() for s in self.nodes)
@@ -282,7 +264,8 @@ def dominance_graph(
 
 
 class PiecewisePsi(_Frozen):
-    """Piecewise-polynomial maximum win probability on (0, 1).
+    """Piecewise-polynomial maximum win probability on (0, 1) for
+    ``n_players``.
 
     breakpoints has one more entry than pieces; piece k applies on the
     closed interval [breakpoints[k], breakpoints[k+1]] (adjacent pieces
@@ -290,16 +273,6 @@ class PiecewisePsi(_Frozen):
     """
 
     __slots__ = _fields = ("n_players", "breakpoints", "pieces")
-
-    def __init__(
-        self,
-        n_players: int,
-        breakpoints: tuple[Sqrt2Num, ...],
-        pieces: tuple[Poly, ...],
-    ):
-        _setattr(self, "n_players", n_players)
-        _setattr(self, "breakpoints", breakpoints)
-        _setattr(self, "pieces", pieces)
 
     def piece_index(self, p: Number) -> int:
         """Index of the piece whose closed interval contains p (the
@@ -327,22 +300,18 @@ def psi_closed_form(n: int) -> PiecewisePsi:
     one = Sqrt2Num(Fraction(1))
     half = Sqrt2Num(Fraction(1, 2))
     if n == 2:
-        return PiecewisePsi(
-            2,
-            (zero, half, one),
-            (Poly.from_coeffs([1, -1]), Poly.from_coeffs([0, 1])),
-        )
+        return PiecewisePsi(2, (zero, half, one), (Poly([1, -1]), Poly([0, 1])))
     if n in (3, 4):
-        return PiecewisePsi(n, (zero, one), (Poly.from_coeffs([1, -1, 1]),))
+        return PiecewisePsi(n, (zero, one), (Poly([1, -1, 1]),))
     if n == 5:
         return PiecewisePsi(
             5,
             (zero, SQRT2_MINUS_1, half, TWO_MINUS_SQRT2, one),
             (
-                Poly.from_coeffs([1, -1, 2, -2, 0, 1]),
-                Poly.from_coeffs([0, 5, -10, 6, 1, -1]),
-                Poly.from_coeffs([1, -2, 4, 0, -4, 1]),
-                Poly.from_coeffs([1, -2, 6, -8, 5, -1]),
+                Poly([1, -1, 2, -2, 0, 1]),
+                Poly([0, 5, -10, 6, 1, -1]),
+                Poly([1, -2, 4, 0, -4, 1]),
+                Poly([1, -2, 6, -8, 5, -1]),
             ),
         )
     raise ValueError("closed forms are available for n in {2, 3, 4, 5}")
@@ -370,6 +339,7 @@ class CurveRow(_Frozen):
 
     __slots__ = _fields = ("p", "psi", "piece", "is_breakpoint")
 
+    # own __init__: psi_curve builds one per grid row, twice as fast
     def __init__(self, p: Number, psi: Number, piece: str, is_breakpoint: bool = False):
         _setattr(self, "p", p)
         _setattr(self, "psi", psi)
@@ -501,8 +471,10 @@ def _optimal_classes(n: int, p: Number) -> list[tuple[Signature, tuple]]:
 
 
 class CoveringReport(_Frozen):
-    """Comparison of the computed minimum loss-set size with the published
-    covering-code size K(n, 1), plus the symmetric-game win bound."""
+    """For ``n_players``: the ``computed_min_size`` of a loss set (None past
+    the computed range), the published ``covering_code_size`` K(n, 1),
+    whether the two ``agrees`` (None when not computed), and the
+    ``symmetric_win_probability`` 1 - K(n, 1)/2^n."""
 
     __slots__ = _fields = (
         "n_players",
@@ -511,20 +483,6 @@ class CoveringReport(_Frozen):
         "agrees",
         "symmetric_win_probability",
     )
-
-    def __init__(
-        self,
-        n_players: int,
-        computed_min_size: int | None,
-        covering_code_size: int,
-        agrees: bool | None,
-        symmetric_win_probability: Fraction,
-    ):
-        _setattr(self, "n_players", n_players)
-        _setattr(self, "computed_min_size", computed_min_size)
-        _setattr(self, "covering_code_size", covering_code_size)
-        _setattr(self, "agrees", agrees)
-        _setattr(self, "symmetric_win_probability", symmetric_win_probability)
 
 
 def covering_check(n: int) -> CoveringReport:
@@ -553,9 +511,10 @@ def sci_2sig(value: int) -> str:
 
 
 class ComplexityRow(_Frozen):
-    """Strategy-space sizes for one n: full brute force 3^(2^(n-1) n),
-    the reduced bound 3^((2^(n-1)-2) n), and the number of candidate loss
-    sets C(2^n, size)."""
+    """Strategy-space sizes for ``n_players`` and loss sets of
+    ``min_size``: ``full_strategies`` 3^(2^(n-1) n) for brute force, the
+    ``reduced_strategies`` bound 3^((2^(n-1)-2) n), and the number of
+    ``candidate_sets`` C(2^n, size)."""
 
     __slots__ = _fields = (
         "n_players",
@@ -564,20 +523,6 @@ class ComplexityRow(_Frozen):
         "reduced_strategies",
         "candidate_sets",
     )
-
-    def __init__(
-        self,
-        n_players: int,
-        min_size: int,
-        full_strategies: int,
-        reduced_strategies: int,
-        candidate_sets: int,
-    ):
-        _setattr(self, "n_players", n_players)
-        _setattr(self, "min_size", min_size)
-        _setattr(self, "full_strategies", full_strategies)
-        _setattr(self, "reduced_strategies", reduced_strategies)
-        _setattr(self, "candidate_sets", candidate_sets)
 
     @property
     def full_sci(self) -> str:

@@ -32,7 +32,7 @@ from .core import (
     _check_limit,
     evaluate_matrix,
 )
-from .polys import Number, Sqrt2Num, decimal_str
+from .polys import decimal_str
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -73,13 +73,6 @@ def parse_size_range(text: str) -> tuple[int, int]:
 def rational_str(value: Fraction) -> str:
     value = Fraction(value)
     return "%d/%d" % (value.numerator, value.denominator)
-
-
-def _exact_str(value: Number) -> str:
-    """Exact text of a value: a/b when rational, else a + b*sqrt(2)."""
-    if isinstance(value, Sqrt2Num):
-        return rational_str(value.a) if value.is_rational else str(value)
-    return rational_str(value)
 
 
 def _write_csv(header, rows):
@@ -269,9 +262,9 @@ def cmd_psi(args) -> None:
         payload = [
             {
                 "p": decimal_str(r.p),
-                "p_exact": _exact_str(r.p),
+                "p_exact": str(r.p),
                 "psi": decimal_str(r.psi),
-                "psi_exact": _exact_str(r.psi),
+                "psi_exact": str(r.psi),
                 "piece": r.piece,
             }
             for r in rows

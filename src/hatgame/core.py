@@ -114,11 +114,32 @@ _setattr = object.__setattr__
 class _Frozen:
     """Immutable value with the equality, hash and repr of a frozen
     dataclass over the attributes named in ``_fields``; pickle and copy
-    call the class again on those values.  Each subclass sets its
-    attributes in its own ``__init__`` through ``_setattr``."""
+    call the class again on those values.  ``__init__`` binds the fields
+    as a call would, the last ones defaulting to ``_defaults``; a
+    validating subclass sets them in its own through ``_setattr``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            _setattr(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """All field values in order, bound as a Python call binds them."""
+        fields, defaults = self._fields, self._defaults
+        rest = fields[len(args):]
+        if not kwargs and 0 < len(rest) <= len(defaults):
+            return args + defaults[-len(rest):]
+        values = dict(zip(fields[len(fields) - len(defaults):], defaults))
+        values.update(kwargs)
+        if len(args) > len(fields) or not set(kwargs) <= set(rest) <= set(values):
+            raise TypeError("%s takes %s, got %d values and the names %s" % (
+                self.__class__.__qualname__, fields, len(args), tuple(kwargs)))
+        return args + tuple([values[f] for f in rest])
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -190,6 +211,12 @@ class GameParams(_Frozen):
 def _check_n(n: int) -> None:
     if not 2 <= n <= MAX_PLAYERS:
         raise ValueError("n must be in [2, %d], got %r" % (MAX_PLAYERS, n))
+
+
+def _check_params(n: int, params: GameParams) -> None:
+    if params.n_players != n:
+        raise ValueError("params are for %d players, requested n=%d"
+                         % (params.n_players, n))
 
 
 def _check_config(code: int, n: int) -> None:
@@ -328,7 +355,7 @@ class DecisionMatrix(_Frozen):
                     "each of the %d rows must have 2^(N-1)=%d entries" % (n, width)
                 )
             for v in row:
-                if v not in _VALID_ENTRIES:
+                if type(v) is not int or v not in _VALID_ENTRIES:
                     raise ValueError("invalid decision value %r" % (v,))
         _setattr(self, "rows", rows)
 

@@ -146,17 +146,11 @@ class Poly(_Frozen):
     # no __slots__: the cached properties below live in the instance dict
     _fields = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
+    def __init__(self, coeffs: Iterable):
         cs = [exact_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         _setattr(self, "coeffs", tuple(cs))
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable) -> "Poly":
-        return cls(tuple(coeffs))
 
     @property
     def degree(self) -> int:

@@ -34,6 +34,7 @@ from .core import (
     GameParams,
     _cells,
     _check_limit,
+    _check_params,
     _guess_masks,
     _outcome,
     evaluate_matrix,
@@ -110,9 +111,7 @@ def brute_force_optimal(
     """
     if n not in (2, 3):
         raise ValueError("brute force is supported for n in {2, 3} only")
-    if params.n_players != n:
-        raise ValueError("params are for %d players, requested n=%d"
-                         % (params.n_players, n))
+    _check_params(n, params)
     # every row of each player's decisions, in ternary-code order, as the
     # masks of the configurations where it guesses wrong and where it
     # guesses right

@@ -97,7 +97,7 @@ def test_criterion_02_asymmetric_optima():
 def test_criterion_03_psi_values():
     assert psi_solver(2, GameParams(2, NINE_TENTHS)) == NINE_TENTHS
 
-    expected = Poly.from_coeffs([1, -1, 1])  # 1 - p + p^2
+    expected = Poly([1, -1, 1])  # 1 - p + p^2
     for n in (3, 4):
         psi = psi_closed_form(n)
         assert psi.pieces == (expected,)

@@ -137,6 +137,10 @@ def test_signature_examples():
     s = Signature.from_compact("022210")
     assert s.size == 7 and s.n_players == 5
     assert Signature.from_compact("1-5-10-0-0-1").counts == (1, 5, 10, 0, 0, 1)
+    # a count is an integer: int() would truncate 1.9 and parse "1"
+    for counts in ((1.9, 0, 2), (Fraction(1), 0, 2), ("1", 0, 2)):
+        with pytest.raises(TypeError):
+            Signature(counts)
 
 
 def test_set_probability_examples():

@@ -410,10 +410,10 @@ def test_psi_two_players_is_max_p_q():
 
 def test_psi_three_equals_one_minus_pq():
     psi = psi_closed_form(3)
-    assert psi.pieces == (Poly.from_coeffs([1, -1, 1]),)
+    assert psi.pieces == (Poly([1, -1, 1]),)
     # 1 - pq = 0.75 + (p - 1/2)^2 as polynomials
     half = [-Fraction(1, 2), 1]
-    assert difference(psi.pieces[0], poly(half, half)) == Poly.from_coeffs([Fraction(3, 4)])
+    assert difference(psi.pieces[0], poly(half, half)) == Poly([Fraction(3, 4)])
 
 
 def test_psi_four_equals_psi_three():

@@ -12,12 +12,14 @@ from hypothesis import given, strategies as hst
 from hatgame.adequate import (
     AdequateSet,
     Signature,
+    SweepRow,
     enumerate_adequate,
     min_cover_optimize,
     min_cover_size,
     size_sweep,
 )
 from hatgame.analysis import (
+    DominanceResult,
     complexity_table,
     covering_check,
     dominance,
@@ -239,9 +241,23 @@ def test_records_are_immutable_values():
         twin = pickle.loads(pickle.dumps(record))
         assert twin == record and hash(twin) == hash(record), record
         assert copy.copy(record) == record
+        # each record is built again from its fields, by position or by name
+        assert type(record)(*record._key()) == record, record
+        assert type(record)(**dict(zip(record._fields, record._key()))) == record, record
     # equality is per class, as for a frozen dataclass
     assert Signature((0, 1, 1)) != (0, 1, 1)
     assert repr(GameParams(3, HALF)) == "GameParams(n_players=3, p_white=Fraction(1, 2))"
+    # a record that only stores its values binds them as a call would
+    assert SweepRow(2, None, min_sum=None, witness=None) == SweepRow(2, None, None, None)
+    assert DominanceResult("equal").roots == ()
+    for args, kwargs in (
+        ((2, None, None, None, None), {}),  # one value too many
+        ((2, None, None, None), {"sum": None}),  # an unknown name
+        ((2, None, None, None), {"size": 2}),  # a field given twice
+        ((2, None, None), {}),  # a missing field
+    ):
+        with pytest.raises(TypeError):
+            SweepRow(*args, **kwargs)
 
 
 def test_matrix_validation():
@@ -249,6 +265,10 @@ def test_matrix_validation():
         DecisionMatrix(((0, 0), (0,)))
     with pytest.raises(ValueError):
         DecisionMatrix(((0, 5), (0, 0)))
+    # only int decisions: 1.0 and True would print as 1.0 and true in JSON
+    for value in (1.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match="invalid decision value"):
+            DecisionMatrix(((0, value), (0, 0)))
 
 
 def test_wins_examples():

@@ -27,16 +27,16 @@ def F(a, b=1):
 
 
 def test_sqrt2_squares_to_two():
-    assert Poly.from_coeffs([0, 0, 1])(SQRT2) == Sqrt2Num(2)
+    assert Poly([0, 0, 1])(SQRT2) == Sqrt2Num(2)
 
 
 def test_breakpoint_identities():
-    assert Poly.from_coeffs([1, 1])(SQRT2_MINUS_1) == SQRT2
-    assert Poly.from_coeffs([2, -1])(SQRT2) == TWO_MINUS_SQRT2
+    assert Poly([1, 1])(SQRT2_MINUS_1) == SQRT2
+    assert Poly([2, -1])(SQRT2) == TWO_MINUS_SQRT2
     # the two breakpoints mirror around 1/2: 1 - (sqrt2-1) = 2-sqrt2
-    assert Poly.from_coeffs([1, -1])(SQRT2_MINUS_1) == TWO_MINUS_SQRT2
+    assert Poly([1, -1])(SQRT2_MINUS_1) == TWO_MINUS_SQRT2
     # minimal polynomial: x^2 - 4x + 2 vanishes at 2 - sqrt2
-    assert Poly.from_coeffs([2, -4, 1])(TWO_MINUS_SQRT2) == Sqrt2Num(0)
+    assert Poly([2, -4, 1])(TWO_MINUS_SQRT2) == Sqrt2Num(0)
 
 
 def test_exact_ordering():
@@ -91,10 +91,10 @@ def test_rational_interop():
     [
         lambda: Sqrt2Num(0.1),
         lambda: Sqrt2Num(1, 0.5),
-        lambda: Poly.from_coeffs([1, 0.1]),
-        lambda: Poly.from_coeffs([0, 1]).count_roots_open(0.0, 1),
-        lambda: Poly.from_coeffs([0, 1]).isolate_roots_open(-1, 0.5),
-        lambda: Poly.from_coeffs([-2, 0, 1]).refine_root(1, 2, 0.5),
+        lambda: Poly([1, 0.1]),
+        lambda: Poly([0, 1]).count_roots_open(0.0, 1),
+        lambda: Poly([0, 1]).isolate_roots_open(-1, 0.5),
+        lambda: Poly([-2, 0, 1]).refine_root(1, 2, 0.5),
     ],
     ids=["a", "b", "coeffs", "count", "isolate", "refine"],
 )
@@ -109,15 +109,15 @@ def test_floats_are_refused(build):
 
 
 def test_poly_canonical_form():
-    assert Poly.from_coeffs([1, 2, 0, 0]).coeffs == (1, 2)
-    assert Poly.from_coeffs([0, 0]).is_zero
-    assert Poly.from_coeffs([5]).degree == 0
+    assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
+    assert Poly([0, 0]).is_zero
+    assert Poly([5]).degree == 0
     assert Poly(()).degree == -1
 
 
 def test_poly_evaluation_in_quadratic_field():
     # (x^2 - 2) vanishes exactly at sqrt 2
-    p = Poly.from_coeffs([-2, 0, 1])
+    p = Poly([-2, 0, 1])
     assert p(SQRT2) == Sqrt2Num(0)
     # the zero polynomial gives a zero of the argument's type
     for x, zero in ((SQRT2, Sqrt2Num(0)), (F(1, 3), F(0)), (3, 0)):
@@ -141,7 +141,7 @@ def _pair_horner(cs, a, b):
 @given(hst.lists(rationals, max_size=7), rationals, rationals)
 def test_quadratic_evaluation_matches_fraction_pairs(cs, a, b):
     # the integer kernel against Horner in Fraction pairs
-    f, x = Poly.from_coeffs(cs), Sqrt2Num(a, b)
+    f, x = Poly(cs), Sqrt2Num(a, b)
     p, q = _pair_horner(f.coeffs, a, b)
     value = f(x)
     assert type(value) is Sqrt2Num and (value.a, value.b) == (p, q)
@@ -169,13 +169,13 @@ def test_count_roots_with_multiplicity_collapses():
 
 def test_count_roots_algebraic_endpoints():
     # x^2 - 2 on intervals delimited by sqrt 2 itself
-    p = Poly.from_coeffs([-2, 0, 1])
+    p = Poly([-2, 0, 1])
     assert p.count_roots_open(Sqrt2Num(0), SQRT2) == 0
     assert p.count_roots_open(Sqrt2Num(0), Sqrt2Num(2)) == 1
     assert p.count_roots_open(SQRT2, Sqrt2Num(2)) == 0
     # p^3 (p^2 - 4p + 2) has no root on (1/2, 2 - sqrt2), where it is
     # positive, nor on (2 - sqrt2, 1), where it is negative
-    step = Poly.from_coeffs([0, 0, 0, 2, -4, 1])
+    step = Poly([0, 0, 0, 2, -4, 1])
     assert step.count_roots_open(F(1, 2), TWO_MINUS_SQRT2) == 0
     assert step(F(11, 20)) > 0
     assert step.count_roots_open(TWO_MINUS_SQRT2, F(1)) == 0
@@ -211,11 +211,11 @@ ISOLATION_PINS = [
      [(F(-2), F(-1, 2)), (F(-1, 2), F(1))]),
     ("double root at lo", poly([-1, 2], [-1, 2], [-2, 3]), F(1, 2), F(1),
      [(F(5, 8), F(1))]),
-    ("sqrt2 lo", Poly.from_coeffs([2, -4, 1]), SQRT2_MINUS_1, F(4),
+    ("sqrt2 lo", Poly([2, -4, 1]), SQRT2_MINUS_1, F(4),
      [(F(1, 2), F(9, 4)), (F(9, 4), F(4))]),
-    ("sqrt2 lo is a root", Poly.from_coeffs([2, -4, 1]), TWO_MINUS_SQRT2, F(4),
+    ("sqrt2 lo is a root", Poly([2, -4, 1]), TWO_MINUS_SQRT2, F(4),
      [(F(2), F(4))]),
-    ("sqrt2 hi", Poly.from_coeffs([-2, 0, 1]), F(0), Sqrt2Num(1, 1),
+    ("sqrt2 hi", Poly([-2, 0, 1]), F(0), Sqrt2Num(1, 1),
      [(F(0), F(3, 2))]),
 ]
 
@@ -248,7 +248,7 @@ def test_multiple_roots_use_the_squarefree_part(f, squarefree, cases):
     # the chain's first remainder sequence ends in gcd(f, f') of positive
     # degree, so the chain is that of f over it
     assert f.sturm_chain()[0] == squarefree
-    sf = Poly.from_coeffs(squarefree)
+    sf = Poly(squarefree)
     for lo, hi, distinct in cases:
         intervals = f.isolate_roots_open(lo, hi)
         assert len(intervals) == f.count_roots_open(lo, hi) == distinct
@@ -262,7 +262,7 @@ def test_multiple_roots_use_the_squarefree_part(f, squarefree, cases):
 
 def test_isolate_roots_with_quadratic_endpoints():
     # x^2 - 4x + 2 has the roots 2 - sqrt2 ~ 0.586 and 2 + sqrt2 ~ 3.414
-    p = Poly.from_coeffs([2, -4, 1])
+    p = Poly([2, -4, 1])
     both = p.isolate_roots_open(SQRT2_MINUS_1, F(4))
     assert len(both) == 2
     for (lo, hi), root in zip(both, (TWO_MINUS_SQRT2, Sqrt2Num(2, 1))):
@@ -276,7 +276,7 @@ def test_isolate_roots_with_quadratic_endpoints():
 
 
 def test_refine_root_width():
-    p = Poly.from_coeffs([-2, 0, 1])  # sqrt 2
+    p = Poly([-2, 0, 1])  # sqrt 2
     (iv,) = p.isolate_roots_open(F(0), F(2))
     lo, hi = p.refine_root(*iv, width=F(1, 10**15))
     assert hi - lo < F(1, 10**15)
@@ -287,7 +287,7 @@ def test_refine_root_width():
 def test_refine_root_refuses_width_at_most_zero(width):
     # the bisection would never reach a width <= 0
     with pytest.raises(ValueError, match="width"):
-        Poly.from_coeffs([-2, 0, 1]).refine_root(1, 2, width)
+        Poly([-2, 0, 1]).refine_root(1, 2, width)
 
 
 #: Quadratic endpoints around the roots +-sqrt 2 of x^2 - 2 and the
